@@ -31,12 +31,15 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/engine_config.h"
 #include "core/objective.h"
+#include "core/vqa_task.h"
 #include "dist/supervisor.h"
 #include "dist/work_claim.h"
 #include "dist/worker_daemon.h"
 #include "ham/spin_chains.h"
 #include "ham/synthetic_molecule.h"
+#include "linalg/lanczos.h"
 #include "paulprop/pauli_propagation.h"
 #include "sim/eval_plan.h"
 #include "sim/expectation.h"
@@ -589,6 +592,50 @@ benchClaimPath()
 }
 
 void
+benchGroundSolve()
+{
+    // Exact ground-state set-up, which every paper workload runs first
+    // for its fidelity reference: wall time per task of
+    // solveGroundEnergies over a family, and Lanczos matvecs per solve
+    // on the same per-task start streams — a deterministic work
+    // counter, gated in CI.
+    const SyntheticMoleculeSpec lih = syntheticLiH();
+    const struct
+    {
+        const char *tag;
+        std::vector<PauliSum> hams;
+    } families[] = {
+        {"tfim10", tfimFamily(10, 0.6, 1.4, 10)},
+        {"lih12", syntheticFamily(lih, familyBonds(lih, 4))},
+    };
+    constexpr std::uint64_t kSeed = 0x9d5f; // solveGroundEnergies default
+    for (const auto &family : families) {
+        const double ns = timeNs([&] {
+            std::vector<VqaTask> tasks =
+                makeTasks(family.tag, family.hams, 0);
+            solveGroundEnergies(tasks, kSeed);
+        });
+        std::size_t matvecs = 0;
+        for (std::size_t i = 0; i < family.hams.size(); ++i) {
+            const PauliSum &h = family.hams[i];
+            const MatVec counted = [&](const CVector &x, CVector &y) {
+                ++matvecs;
+                h.applyTo(x, y);
+            };
+            Rng rng = probeRng(kSeed, i);
+            lanczosGroundState(std::size_t{1} << h.numQubits(), counted,
+                               rng);
+        }
+        const double tasks = static_cast<double>(family.hams.size());
+        const int qubits = family.hams[0].numQubits();
+        record(std::string("ground_solve_") + family.tag, qubits,
+               ns / tasks, 0.0);
+        record(std::string("ground_solve_matvecs_") + family.tag, qubits,
+               static_cast<double>(matvecs) / tasks, 0.0);
+    }
+}
+
+void
 benchFaultPointsDisarmed()
 {
     // Guard series for the fault-injection layer: a disarmed
@@ -901,6 +948,7 @@ main()
         benchCircuitApply(n);
     }
     benchClusterObjective();
+    benchGroundSolve();
     benchBatchedEvaluation();
     benchCompiledPrepSharedPrefix();
     benchPaulpropSharded(10);

@@ -70,8 +70,9 @@ struct ClusterEvaluation
     std::uint64_t shotsUsed = 0;
 };
 
-/** The per-probe RNG stream of batched evaluation: SplitMix64-style
- * mix of the stream base with the probe index. */
+/** The per-probe RNG stream of batched evaluation (and the per-task
+ * Lanczos start stream of solveGroundEnergies): SplitMix64-style mix
+ * of the stream base with the probe index. */
 Rng probeRng(std::uint64_t stream_base, std::size_t probe_index);
 
 } // namespace treevqa

@@ -41,6 +41,13 @@ std::vector<VqaTask> makeTasks(const std::string &name_prefix,
  * Fill in ground energies by Lanczos over the dense statevector space.
  * Only valid for dense-simulable sizes (<= ~20 qubits); large problems
  * keep NaN and use surrogate references as the paper does (Section 8.4).
+ *
+ * Tasks are solved in parallel over ThreadPool::global(), at most two
+ * at a time so the Krylov bases held at once stay within one capped
+ * Lanczos pass. Task i draws its start vector from its own stream
+ * probeRng(seed, i), so the energies are bit-identical at any pool
+ * size; called from inside a pool job, the solves run inline on that
+ * worker.
  */
 void solveGroundEnergies(std::vector<VqaTask> &tasks,
                          std::uint64_t seed = 0x9d5f);

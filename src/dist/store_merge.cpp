@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/event_log.h"
+#include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -119,14 +120,19 @@ loadInput(StoreInput &input, bool &vanished)
 }
 
 /**
- * One consistent load pass over canonical + tiers + shards. A tier
- * fold running concurrently renames/deletes files between our
- * enumeration and our read; when that happens the pass is retried
- * from a fresh enumeration (the fold wrote its output before deleting
- * inputs, so a consistent snapshot always exists). Bounded: after
- * `kLoadRetries` colliding passes the partial view is used anyway —
- * callers treat the merged view as advisory (the drain decision
- * re-confirms, dedupe tolerates duplicates).
+ * One consistent load pass over canonical + tiers + shards. Records
+ * only move forward (shard -> tier -> higher tier -> canonical store),
+ * and every move writes its output before it deletes or renames its
+ * input. So the pass lists shards, then tiers, and only then reads the
+ * canonical store: a record moved on after its file was listed either
+ * reached the store before the store read, or left a listed file
+ * vanished when the pass reads it. Listing tiers after shards keeps a
+ * shard that rolls in between from slipping past both listings.
+ * A pass that saw a vanished input is retried from a fresh listing, at
+ * most `kLoadRetries` times; `consistent` reports whether the returned
+ * view came from a clean pass. Only the read-only merged view may use
+ * an inconsistent one (callers treat it as advisory); compaction never
+ * writes it.
  */
 constexpr int kLoadRetries = 5;
 
@@ -134,46 +140,46 @@ std::vector<JobResult>
 loadAllRecords(const std::string &sweepDir,
                std::vector<StoreInput> &shards,
                std::vector<StoreInput> &tiers, std::size_t &input,
-               std::size_t &corrupt)
+               std::size_t &corrupt, bool &consistent)
 {
     std::vector<JobResult> records;
     for (int attempt = 0;; ++attempt) {
-        records.clear();
         shards.clear();
         tiers.clear();
-        corrupt = 0;
-        bool vanished = false;
+        for (std::string &path : sortedShardPaths(sweepDir))
+            shards.push_back(StoreInput{std::move(path), {}});
+        for (std::string &path : sortedTierPaths(sweepDir))
+            tiers.push_back(StoreInput{std::move(path), {}});
 
         StoreLoadStats canonicalStats;
         records =
             ResultStore(sweepStorePath(sweepDir)).load(&canonicalStats);
         corrupt = canonicalStats.corrupt();
-        for (const std::string &path : sortedTierPaths(sweepDir)) {
-            StoreInput tier;
-            tier.path = path;
-            bool gone = false;
-            for (JobResult &record : loadInput(tier, gone))
-                records.push_back(std::move(record));
-            vanished = vanished || gone;
-            corrupt += tier.stats.corrupt();
-            if (!gone)
-                tiers.push_back(std::move(tier));
-        }
-        for (const std::string &path : sortedShardPaths(sweepDir)) {
-            StoreInput shard;
-            shard.path = path;
-            bool gone = false;
-            for (JobResult &record : loadInput(shard, gone))
-                records.push_back(std::move(record));
-            // A shard vanishing mid-pass is a roll (rename into
-            // tiers/): its records exist in a tier our enumeration
-            // may predate, so retry like a fold collision.
-            vanished = vanished || gone;
-            corrupt += shard.stats.corrupt();
-            if (!gone)
-                shards.push_back(std::move(shard));
-        }
-        if (!vanished || attempt >= kLoadRetries)
+        // A delay here lets a peer compaction retire the listed inputs
+        // after this pass read the old store (the race tests force).
+        FAULT_POINT("merge.load_canonical");
+
+        bool vanished = false;
+        // A tier or shard vanishing mid-pass was folded, rolled or
+        // compacted away by a peer; its records may sit in a file (or
+        // a store version) this pass did not see.
+        const auto load_all = [&](std::vector<StoreInput> &inputs) {
+            std::vector<StoreInput> present;
+            for (StoreInput &in : inputs) {
+                bool gone = false;
+                for (JobResult &record : loadInput(in, gone))
+                    records.push_back(std::move(record));
+                vanished = vanished || gone;
+                corrupt += in.stats.corrupt();
+                if (!gone)
+                    present.push_back(std::move(in));
+            }
+            inputs = std::move(present);
+        };
+        load_all(tiers);
+        load_all(shards);
+        consistent = !vanished;
+        if (consistent || attempt >= kLoadRetries)
             break;
     }
     input = records.size();
@@ -252,8 +258,9 @@ loadMergedRecords(const std::string &sweepDir,
     std::vector<StoreInput> tiers;
     std::size_t input = 0;
     std::size_t corrupt = 0;
-    std::vector<JobResult> records =
-        loadAllRecords(sweepDir, shards, tiers, input, corrupt);
+    bool consistent = false;
+    std::vector<JobResult> records = loadAllRecords(
+        sweepDir, shards, tiers, input, corrupt, consistent);
     if (corruptLines)
         *corruptLines = corrupt;
     return records;
@@ -268,12 +275,20 @@ compactSweepStore(const std::string &sweepDir,
     std::vector<StoreInput> shards;
     std::vector<StoreInput> tiers;
     SweepMergeStats stats;
+    bool consistent = false;
     const std::vector<JobResult> records =
         loadAllRecords(sweepDir, shards, tiers, stats.inputRecords,
-                       stats.corruptLines);
+                       stats.corruptLines, consistent);
     stats.uniqueRecords = records.size();
     stats.shardFiles = shards.size();
     stats.tierFiles = tiers.size();
+    if (!consistent) {
+        // Every pass raced a peer moving inputs. Writing this view
+        // could replace a newer store with fewer records; the peer
+        // that moved the inputs carries them forward instead.
+        stats.raced = true;
+        return stats;
+    }
 
     std::string store;
     for (const JobResult &record : records) {

@@ -23,8 +23,10 @@
  * fold's output name is a pure function of its input set (racing
  * folders over the same inputs produce the same file), and duplicate
  * records are bit-identical where it matters. No merge lock is
- * needed. Readers that race a fold's input deletion retry their load
- * pass (bounded) until they see a consistent snapshot. Shard/tier
+ * needed. A load pass lists shards, then tiers, and only then reads
+ * the canonical store, so a record can only be missed by a pass that
+ * sees one of its listed inputs vanish; such a pass is retried
+ * (bounded), and compaction never writes the store from one. Shard/tier
  * *deletion* by compaction is the one step that needs a precondition:
  * it is only safe once the sweep is drained (no worker can still
  * append), so only the drained-worker path requests it — a standalone
@@ -63,6 +65,11 @@ struct SweepMergeStats
      * canonical store; the file is preserved only as forensic
      * evidence. */
     std::size_t quarantinedShards = 0;
+    /** Every load pass saw an input vanish (a concurrent fold, roll or
+     * compaction moved it), so nothing was written or retired: the
+     * peer that moved the inputs has written, or will write, their
+     * records forward. */
+    bool raced = false;
 };
 
 /**
@@ -74,7 +81,8 @@ struct SweepMergeStats
  * loops and `treevqa_run --status`. A load that races a concurrent
  * tier fold (an enumerated file vanishing before it could be read) is
  * retried from scratch, bounded, so the returned set never silently
- * misses a folded file's records. `corruptLines`, when non-null,
+ * misses a folded file's records (after the bounded retries the last,
+ * partial view is returned). `corruptLines`, when non-null,
  * reports the count of lines that failed validation (and were
  * quarantined) across all inputs.
  */
@@ -94,6 +102,9 @@ loadMergedRecords(const std::string &sweepDir,
  * between our load and its deletion, losing that record. With false
  * (the `--merge-only` CLI), they are folded in but left for the
  * draining fleet to retire.
+ *
+ * When every load pass raced a peer that moved inputs away (see
+ * SweepMergeStats::raced), nothing is written or retired.
  *
  * A shard or tier containing any line that fails validation is never
  * deleted: it is renamed into `<dir>/quarantine/` (counted in

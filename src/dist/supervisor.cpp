@@ -700,8 +700,8 @@ Supervisor::run()
         // Usually a no-op: a drainAndExit worker merged already.
         // Idempotent, and it folds the supervisor's own timeout shard
         // into the canonical store.
-        compactSweepStore(dir, /*removeMergedShards=*/true);
-        report_.merged = true;
+        report_.merged =
+            !compactSweepStore(dir, /*removeMergedShards=*/true).raced;
     }
     publishSupervisorHealth(report_.drained ? "stopped"
                                             : "shutting-down");

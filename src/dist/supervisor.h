@@ -126,7 +126,8 @@ struct SupervisorReport
     std::vector<std::string> retiredSlots;
     /** Every job in the sweep had a resolving record when we left. */
     bool drained = false;
-    /** This process ran the final shard compaction. */
+    /** This process wrote the final shard compaction (false when its
+     * load raced a peer moving inputs: SweepMergeStats::raced). */
     bool merged = false;
     /** A stop was requested before the sweep drained. */
     bool stoppedEarly = false;

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 
@@ -120,19 +123,37 @@ WorkClaim::tryAcquire(const std::string &claimDir,
     if (!readTextFile(path, text))
         return std::nullopt; // released between our create and read
     bool stale = false;
-    try {
-        const ClaimInfo held = claimFromJson(JsonValue::parse(text));
-        // Merge the owner's stamp: everything we write from here on
-        // (the takeover, the lease.reaped event) orders causally
-        // after the dead owner's last heartbeat.
-        if (!held.hlc.empty())
-            HlcClock::instance().observe(held.hlc);
-        stale = claimIsStale(held, unixTimeMs(), skewGraceMs);
-    } catch (const std::exception &) {
-        // Unparseable: the creator died mid-write (the window is one
-        // write() call) or the file was corrupted — reapable either
-        // way; a double claim only costs duplicate (identical) work.
-        stale = true;
+    if (text.empty()) {
+        // The creator is between its exclusive create and its one
+        // write(), or died there: judge the file as a claim taken at
+        // its mtime under our lease, so only a dead creator's is
+        // reaped.
+        struct stat st{};
+        if (::stat(path.c_str(), &st) != 0)
+            return std::nullopt; // released meanwhile
+        ClaimInfo empty;
+        empty.leaseMs = leaseMs;
+        empty.acquiredMs = static_cast<std::int64_t>(st.st_mtim.tv_sec)
+                * 1000
+            + st.st_mtim.tv_nsec / 1000000;
+        empty.deadlineMs = empty.acquiredMs + leaseMs;
+        stale = claimIsStale(empty, unixTimeMs(), skewGraceMs);
+    } else {
+        try {
+            const ClaimInfo held =
+                claimFromJson(JsonValue::parse(text));
+            // Merge the owner's stamp: everything we write from here
+            // on (the takeover, the lease.reaped event) orders
+            // causally after the dead owner's last heartbeat.
+            if (!held.hlc.empty())
+                HlcClock::instance().observe(held.hlc);
+            stale = claimIsStale(held, unixTimeMs(), skewGraceMs);
+        } catch (const std::exception &) {
+            // Unparseable: the creator died mid-write or the file was
+            // corrupted — reapable either way; a double claim only
+            // costs duplicate (identical) work.
+            stale = true;
+        }
     }
     if (!stale)
         return std::nullopt;
@@ -147,6 +168,17 @@ WorkClaim::tryAcquire(const std::string &claimDir,
             return std::nullopt; // behaves as a lost takeover race
     if (std::rename(path.c_str(), reaped.c_str()) != 0)
         return std::nullopt;
+    // A faster reaper may have renamed the stale lock, and re-created
+    // a fresh one, between our read and our rename: then we just moved
+    // its live claim aside. Put it back and lose the race. link() never
+    // replaces a lock created meanwhile; in that case the displaced
+    // owner finds its lease lost at its next renew.
+    std::string taken;
+    if (!readTextFile(reaped, taken) || taken != text) {
+        ::link(reaped.c_str(), path.c_str());
+        std::remove(reaped.c_str());
+        return std::nullopt;
+    }
     std::remove(reaped.c_str());
     mine.acquiredMs = unixTimeMs();
     mine.deadlineMs = mine.acquiredMs + leaseMs;

@@ -128,8 +128,10 @@ class WorkClaim
      * nullopt when another worker holds an unexpired lease (or won a
      * takeover race). An expired (per claimIsStale, under
      * `skewGraceMs`) or unparseable (torn) claim is reaped via the
-     * rename protocol; `reapedStale`, when non-null, reports whether
-     * this acquisition took over a stale lease.
+     * rename protocol; an empty one (its creator has not written it
+     * yet) only once older than `leaseMs`. `reapedStale`, when
+     * non-null, reports whether this acquisition took over a stale
+     * lease.
      */
     static std::optional<WorkClaim>
     tryAcquire(const std::string &claimDir,

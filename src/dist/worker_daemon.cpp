@@ -528,8 +528,8 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         // Drained = every job recorded (full-load confirmed), so
         // shard/tier removal is safe.
         publishHealth([](WorkerHealth &h) { h.state = "draining"; });
-        compactSweepStore(dir, /*removeMergedShards=*/true);
-        report.merged = true;
+        report.merged =
+            !compactSweepStore(dir, /*removeMergedShards=*/true).raced;
         tail.invalidate(); // canonical store was rewritten under us
     }
     publishHealth([](WorkerHealth &h) { h.state = "stopped"; });

@@ -245,7 +245,8 @@ struct WorkerReport
     /** Every job in the sweep had a resolving record (completed or
      * poison-quarantined) when we left. */
     bool drained = false;
-    /** This worker ran the shard compaction. */
+    /** This worker wrote the shard compaction (false when its load
+     * raced a peer moving inputs: SweepMergeStats::raced). */
     bool merged = false;
     /** The haltJobsAfterIterations hook fired. */
     bool simulatedCrash = false;

@@ -216,6 +216,26 @@ TEST(WorkClaim, TornClaimFileIsReapable)
     EXPECT_TRUE(reaped);
 }
 
+TEST(WorkClaim, EmptyClaimFileIsReapedOnlyAfterALease)
+{
+    // An empty claim is a creator between its exclusive create and its
+    // write: live until it is a lease old, then a dead creator's.
+    const auto dir = scratchDir("claim_empty");
+    const std::string path = WorkClaim::claimPath(dir.string(), "fp");
+    std::ofstream(path).close();
+    EXPECT_FALSE(
+        WorkClaim::tryAcquire(dir.string(), "fp", "w", 60000).has_value());
+
+    std::filesystem::last_write_time(
+        path, std::filesystem::last_write_time(path)
+                  - std::chrono::minutes(5));
+    bool reaped = false;
+    auto claim = WorkClaim::tryAcquire(dir.string(), "fp", "w", 60000,
+                                       &reaped);
+    ASSERT_TRUE(claim.has_value());
+    EXPECT_TRUE(reaped);
+}
+
 TEST(WorkClaim, InfoJsonRoundTrips)
 {
     ClaimInfo info;
@@ -473,6 +493,62 @@ TEST(StoreMerge, FoldsShardsIntoTheCanonicalStore)
     EXPECT_EQ(summary_once, summary_twice);
     EXPECT_EQ(summary_once,
               sweepSummaryJson(merged).dump(2) + "\n");
+}
+
+TEST(StoreMerge, CompactionRacingAPeerCompactionLosesNoRecord)
+{
+    // Two drained workers compact at once. The slow one reads the old
+    // (empty) canonical store, then stalls; the fast one compacts every
+    // shard and tier into the store and deletes them. The slow one must
+    // not then write its stale view over the fast one's store.
+    const auto dir = scratchDir("merge_race");
+    const std::string sweep = dir.string();
+    std::filesystem::create_directories(sweepShardDir(sweep));
+    const auto record = [](const std::string &name, double field) {
+        JobResult r;
+        r.spec = tinySpec(name, field);
+        r.fingerprint = scenarioFingerprint(r.spec);
+        r.completed = true;
+        r.iterations = 1;
+        r.trajectory = {1.0};
+        r.bestLoss = 1.0;
+        r.finalEnergy = -field;
+        return r;
+    };
+    ResultStore(sweepShardPath(sweep, "w0")).append(record("a", 0.5));
+    ResultStore(sweepShardPath(sweep, "w0")).append(record("b", 0.7));
+    ResultStore(sweepShardPath(sweep, "w1")).append(record("c", 0.9));
+    ASSERT_TRUE(rollShardToTier(sweep, "w1", 0));
+
+    FaultInjection::instance().arm(
+        R"({"seed": 1, "faults": [{"site": "merge.load_canonical",
+            "action": "delay-ms", "ms": 300, "hit": 1}]})");
+    SweepMergeStats slow;
+    std::thread slow_worker(
+        [&] { slow = compactSweepStore(sweep, true); });
+    // The slow compaction has read the canonical store once it reaches
+    // the site; the fast one runs entirely inside its delay.
+    while (FaultInjection::instance()
+               .counters()["merge.load_canonical"]
+               .evaluations
+           == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const SweepMergeStats fast = compactSweepStore(sweep, true);
+    slow_worker.join();
+    FaultInjection::instance().disarm();
+
+    EXPECT_EQ(fast.uniqueRecords, 3u);
+    EXPECT_FALSE(slow.raced);
+    EXPECT_EQ(slow.uniqueRecords, 3u);
+    const std::vector<JobResult> store =
+        ResultStore(sweepStorePath(sweep)).load();
+    ASSERT_EQ(store.size(), 3u);
+    EXPECT_EQ(store[0].spec.name, "a");
+    EXPECT_EQ(store[1].spec.name, "b");
+    EXPECT_EQ(store[2].spec.name, "c");
+    std::string summary;
+    ASSERT_TRUE(readTextFile(sweepSummaryPath(sweep), summary));
+    EXPECT_EQ(summary, sweepSummaryJson(store).dump(2) + "\n");
 }
 
 // -------------------------------------------------------- worker daemon

@@ -3,8 +3,8 @@
  * Tests for the batched, thread-parallel evaluation engine: thread-pool
  * invariants, batched normal sampling, evaluateBatch bit-equivalence
  * across thread counts, threaded expectations vs the naive reference,
- * batch-vs-serial optimizer equivalence, and pool-size invariance of a
- * full TreeVQA run.
+ * batch-vs-serial optimizer equivalence, pool-size invariance of a
+ * full TreeVQA run, and of the parallel ground-state set-up.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,8 @@
 #include "opt/spsa.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
+
+#include "../bench/bench_suites.h"
 
 namespace treevqa {
 namespace {
@@ -380,6 +382,63 @@ TEST(TreeController, RunIsInvariantToPoolSize)
                          results[1].outcomes[i].bestEnergy);
     EXPECT_EQ(results[0].totalShots, results[1].totalShots);
     EXPECT_EQ(results[0].splitCount, results[1].splitCount);
+}
+
+TEST(SolveGroundEnergies, BitIdenticalAcrossPoolSizes)
+{
+    const auto fam = tfimFamily(10, 0.6, 1.4, 10);
+    std::vector<std::vector<double>> energies;
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        PoolSizeGuard guard(threads);
+        auto tasks = makeTasks("tfim", fam, 0);
+        solveGroundEnergies(tasks);
+        std::vector<double> e;
+        for (const VqaTask &task : tasks)
+            e.push_back(task.groundEnergy);
+        energies.push_back(std::move(e));
+    }
+    for (std::size_t i = 0; i < energies[0].size(); ++i) {
+        EXPECT_EQ(energies[0][i], energies[1][i]) << "task " << i;
+        EXPECT_EQ(energies[0][i], energies[2][i]) << "task " << i;
+    }
+}
+
+TEST(SolveGroundEnergies, BenchSuitesMatchPinnedEnergies)
+{
+    // Ground energies of the bench_suites.h families as solved by the
+    // full-length (160-step, dense Jacobi Ritz solve, one shared start
+    // stream) Lanczos that preceded the early-stopping solver.
+    const std::vector<double> tfim = {
+        -10.115669866371007, -10.493717737735594, -10.943263546201903,
+        -11.468227607419859, -12.062451916014098, -12.712776952169634,
+        -13.405861400871013, -14.13126718594709,  -14.881466439945703,
+        -15.651075532090188};
+    const std::vector<double> xxz = {
+        -14.867709988083531, -15.329926672228622, -15.803024814573833,
+        -16.286807583853495, -16.781101275764833, -17.285751535411439,
+        -17.800619572517533, -18.325578316328194, -18.860508487310415,
+        -19.405294594803038};
+    const std::vector<double> hf = {
+        -103.75199103079105, -104.28016547760313, -104.54888752439997,
+        -104.61993196242202, -104.54261173407016, -104.35613470882113,
+        -104.0915277277085,  -103.77320622732546, -103.42025368623908,
+        -103.04746358631104};
+    const std::vector<double> lih = {
+        -12.25941993682256,  -12.302659907018475, -12.334145373880581,
+        -12.355616649076865, -12.368585644148359, -12.374364203652595,
+        -12.3740890132089,   -12.368743491311911, -12.359177025291418,
+        -12.346121869020692};
+    const auto expect_pinned = [](const bench::BenchmarkSuite &suite,
+                                  const std::vector<double> &pinned) {
+        ASSERT_EQ(suite.tasks.size(), pinned.size()) << suite.name;
+        for (std::size_t i = 0; i < pinned.size(); ++i)
+            EXPECT_NEAR(suite.tasks[i].groundEnergy, pinned[i], 1e-10)
+                << suite.name << " task " << i;
+    };
+    expect_pinned(bench::tfimSuite(), tfim);
+    expect_pinned(bench::xxzSuite(), xxz);
+    expect_pinned(bench::hfSuite(), hf);
+    expect_pinned(bench::lihSuite(), lih);
 }
 
 TEST(ShotLedger, ConcurrentChargesSumExactly)

@@ -42,7 +42,9 @@
  *   --merge-only     just run the merge/compaction pass and exit;
  *                    exits 1 when corrupt store lines were found (the
  *                    lines are quarantined, their shards moved to
- *                    DIR/quarantine/, never deleted)
+ *                    DIR/quarantine/, never deleted), and 75 when
+ *                    every pass raced a concurrent fold or compaction
+ *                    (nothing written; rerun)
  *   --max-job-attempts N
  *                    retry budget for throwing jobs before poison
  *                    quarantine (default 3)
@@ -264,6 +266,13 @@ main(int argc, char **argv)
             // deleting them; the drained worker retires them.
             const SweepMergeStats stats = compactSweepStore(
                 sweep_dir, /*removeMergedShards=*/false);
+            if (stats.raced) {
+                std::fprintf(stderr,
+                             "treevqa_worker: every merge pass raced a "
+                             "concurrent fold or compaction; nothing "
+                             "written, retry --merge-only\n");
+                return 75;
+            }
             std::printf("merged %zu records (%zu unique) from %zu "
                         "shard(s) into %s (shards kept)\n",
                         stats.inputRecords, stats.uniqueRecords,
