@@ -215,6 +215,37 @@ benchBatchedExpectations(int n)
 }
 
 void
+benchExpectationsLih12()
+{
+    // One probe's expectation pass in the molecule_sv shape: the
+    // aligned 4-task LiH-12 strings on a seeded HEA state, one lane.
+    // The plan is built once, as the statevector backend does; ref is
+    // the sign-table evaluator that regrouped the strings on every
+    // call.
+    const SyntheticMoleculeSpec lih = syntheticLiH();
+    const AlignedTerms aligned =
+        alignTerms(syntheticFamily(lih, familyBonds(lih, 4)));
+    const Ansatz ansatz = makeHardwareEfficientAnsatz(12, 2);
+    Rng rng(7);
+    std::vector<double> theta(ansatz.numParams());
+    for (auto &t : theta)
+        t = rng.uniform(-3.0, 3.0);
+    const Statevector sv = ansatz.prepare(theta);
+    const ExpectationPlan plan(aligned.strings);
+    ThreadPool::global().resize(1);
+    const double fast = timeNs([&] {
+        auto v = plan.evaluate(sv);
+        (void)v;
+    });
+    const double ref = timeNs([&] {
+        auto v = refLutPerStringExpectations(sv, aligned.strings);
+        (void)v;
+    });
+    ThreadPool::global().resize(0);
+    record("expectations_lih12", 12, fast, ref);
+}
+
+void
 benchCircuitApply(int n)
 {
     const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0);
@@ -948,6 +979,7 @@ main()
         benchCircuitApply(n);
     }
     benchClusterObjective();
+    benchExpectationsLih12();
     benchGroundSolve();
     benchBatchedEvaluation();
     benchCompiledPrepSharedPrefix();

@@ -4,7 +4,7 @@
  *
  * Every parallel surface of the framework — multi-theta probe batches
  * (ClusterObjective::evaluateBatch), threaded Pauli expectations
- * (perStringExpectations) and sharded cluster rounds (TreeController) —
+ * (ExpectationPlan::evaluate) and sharded cluster rounds (TreeController) —
  * fans out over the single process-wide pool returned by global(), so
  * the thread count is one knob and nested parallel regions cannot
  * oversubscribe the machine: a run() issued from inside a pool task

@@ -15,15 +15,16 @@ namespace treevqa {
 namespace {
 
 /**
- * Dense-statevector engine: exact per-term expectations + per-term
- * shot noise, with EvalPlan shared-prefix preparation on the batch
- * path.
+ * Dense-statevector engine: exact per-term expectations through one
+ * ExpectationPlan over the aligned strings + per-term shot noise, with
+ * EvalPlan shared-prefix preparation on the batch path.
  */
 class StatevectorBackend final : public SimBackend
 {
   public:
     explicit StatevectorBackend(SimBackendInputs in)
-        : in_(std::move(in)), pool_(in_.program->numQubits())
+        : in_(std::move(in)), pool_(in_.program->numQubits()),
+          expectations_(in_.aligned->strings)
     {
     }
 
@@ -52,7 +53,7 @@ class StatevectorBackend final : public SimBackend
             pool_, [&](const std::vector<std::size_t> &probes,
                        const Statevector &state) {
                 const std::vector<double> values =
-                    perStringExpectations(state, in_.aligned->strings);
+                    expectations_.evaluate(state);
                 for (std::size_t i : probes) {
                     Rng rng = probeRng(stream_base, i);
                     out[i] = finish(values, rng);
@@ -98,7 +99,7 @@ class StatevectorBackend final : public SimBackend
         const std::vector<double> &theta) const
     {
         StatevectorPool::Lease state = prepare(theta);
-        return perStringExpectations(*state, in_.aligned->strings);
+        return expectations_.evaluate(*state);
     }
 
     /** Noise injection + classical recombination of per-term values. */
@@ -138,6 +139,9 @@ class StatevectorBackend final : public SimBackend
      * concurrent evaluation (and each EvalPlan checkpoint) its own
      * buffer, so all entry points are reentrant. */
     mutable StatevectorPool pool_;
+    /** The aligned strings compiled once: every probe's expectation
+     * pass reuses the same groups and masks. */
+    const ExpectationPlan expectations_;
 };
 
 /**

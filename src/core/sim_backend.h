@@ -7,8 +7,8 @@
  * through makeSimBackend() (EngineConfig::backendName). Both shipped
  * engines implement the same five operations:
  *
- *  - "statevector": dense simulation. Per-term expectations via
- *    perStringExpectations, per-term shot noise, classical
+ *  - "statevector": dense simulation. Per-term expectations via an
+ *    ExpectationPlan built once, per-term shot noise, classical
  *    recombination; batches route through an EvalPlan so probes of one
  *    iterate share prefix state preparation.
  *  - "paulprop": Heisenberg-picture Pauli propagation (joint

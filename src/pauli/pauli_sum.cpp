@@ -116,26 +116,122 @@ PauliSum::normalizedTrace() const
     return 0.0;
 }
 
+namespace {
+
+/** Output amplitudes per applyTo block: six 4 KiB real buffers. */
+constexpr std::size_t kApplyBlock = 512;
+
+/** Block indices per sign chunk in the weight build. */
+constexpr std::size_t kApplyChunk = 64;
+
+/** One term of an X-mask group, for the weight build. */
+struct ApplyMember
+{
+    std::uint64_t zMask;
+    /** c * i^{|Y|} with the i folded out: the real or imaginary part. */
+    double coefficient;
+    bool imag;
+};
+
+/** w[j] (=|+=) c * (-1)^{popcount(j & z)} for j in [0, n): the sign
+ * splits into a 64-entry pattern and a per-chunk parity. */
+void
+addSignedWeights(double *w, std::size_t n, double c, std::uint64_t z,
+                 bool assign)
+{
+    const std::size_t chunk = std::min(kApplyChunk, n);
+    double pattern[kApplyChunk];
+    for (std::size_t l = 0; l < chunk; ++l)
+        pattern[l] = (std::popcount(l & z) & 1) ? -c : c;
+    for (std::size_t h = 0; h < n; h += chunk) {
+        double *row = w + h;
+        const double s = (std::popcount(h & z) & 1) ? -1.0 : 1.0;
+        if (assign) {
+            for (std::size_t l = 0; l < chunk; ++l)
+                row[l] = s * pattern[l];
+        } else {
+            for (std::size_t l = 0; l < chunk; ++l)
+                row[l] += s * pattern[l];
+        }
+    }
+}
+
+} // namespace
+
 void
 PauliSum::applyTo(const CVector &x, CVector &y) const
 {
     const std::size_t dim = std::size_t{1} << numQubits_;
     assert(x.size() == dim);
-    y.assign(dim, Complex(0.0, 0.0));
+    y.resize(dim);
 
-    static const Complex kPhases[4] = {
-        Complex(1, 0), Complex(0, 1), Complex(-1, 0), Complex(0, -1)};
-
+    // P|b> = i^{|Y|} (-1)^{popcount(b & z)} |b ^ x>, so the terms
+    // sharing an X mask act as one diagonal complex weight W followed
+    // by the permutation b -> b ^ x:
+    //   y[a] += W(a) x[a ^ x],
+    //   W(a)  = sum_k c_k i^{|Y_k|} (-1)^{popcount((a ^ x) & z_k)}.
+    // Even-|Y| terms make W's real part, odd-|Y| terms its imaginary
+    // part. Groups are visited in ascending X-mask order and members
+    // in term order, so the result is deterministic.
+    std::vector<std::pair<std::uint64_t, ApplyMember>> members;
+    members.reserve(terms_.size());
     for (const auto &term : terms_) {
-        const std::uint64_t xm = term.string.xMask();
-        const std::uint64_t zm = term.string.zMask();
-        const Complex base =
-            term.coefficient * kPhases[term.string.yCount() % 4];
-        for (std::size_t b = 0; b < dim; ++b) {
-            // P|b> = i^{|Y|} (-1)^{popcount(b & z)} |b ^ x>.
-            const int sign = std::popcount(b & zm) & 1 ? -1 : 1;
-            y[b ^ xm] += base * static_cast<double>(sign) * x[b];
+        const int y4 = term.string.yCount() % 4;
+        members.emplace_back(
+            term.string.xMask(),
+            ApplyMember{term.string.zMask(),
+                        y4 < 2 ? term.coefficient : -term.coefficient,
+                        (y4 & 1) != 0});
+    }
+    std::stable_sort(members.begin(), members.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+
+    const double *xs = reinterpret_cast<const double *>(x.data());
+    const std::size_t n = std::min(kApplyBlock, dim);
+    for (std::size_t a0 = 0; a0 < dim; a0 += n) {
+        double yr[kApplyBlock] = {}, yi[kApplyBlock] = {};
+        for (std::size_t g = 0; g < members.size();) {
+            const std::uint64_t xm = members[g].first;
+            double wr[kApplyBlock], wi[kApplyBlock];
+            bool hasRe = false, hasIm = false;
+            for (; g < members.size() && members[g].first == xm; ++g) {
+                const ApplyMember &m = members[g].second;
+                // (a0 + j) ^ x = (a0 ^ x) ^ j for the block-aligned a0,
+                // so the block-constant part of the sign folds into c.
+                const double c = (std::popcount((a0 ^ xm) & m.zMask) & 1)
+                    ? -m.coefficient
+                    : m.coefficient;
+                bool &seen = m.imag ? hasIm : hasRe;
+                addSignedWeights(m.imag ? wi : wr, n, c, m.zMask, !seen);
+                seen = true;
+            }
+
+            // The partners of the block lie in one aligned window,
+            // permuted by the low X bits.
+            double xr[kApplyBlock], xi[kApplyBlock];
+            const double *src = xs + 2 * ((a0 ^ xm) & ~(n - 1));
+            const std::size_t xlo = xm & (n - 1);
+            for (std::size_t j = 0; j < n; ++j) {
+                xr[j] = src[2 * (j ^ xlo)];
+                xi[j] = src[2 * (j ^ xlo) + 1];
+            }
+            if (hasRe) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    yr[j] += wr[j] * xr[j];
+                    yi[j] += wr[j] * xi[j];
+                }
+            }
+            if (hasIm) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    yr[j] -= wi[j] * xi[j];
+                    yi[j] += wi[j] * xr[j];
+                }
+            }
         }
+        for (std::size_t j = 0; j < n; ++j)
+            y[a0 + j] = Complex(yr[j], yi[j]);
     }
 }
 

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
+
+#include "common/thread_pool.h"
+#include "sim/bit_ops.h"
 
 namespace treevqa {
 
@@ -279,6 +283,226 @@ refPerStringExpectations(const Statevector &state,
             }
             out[members[m]] =
                 std::real(kPhases[s.yCount() % 4] * acc[m]);
+        }
+    }
+    return out;
+}
+
+namespace {
+
+/** Amplitudes per block: 3 doubles/entry keeps a block well inside L1. */
+constexpr std::size_t kBlockSize = 1024;
+
+/** One X-mask group member, flattened for the hot loop. */
+struct GroupMember
+{
+    std::uint64_t zMask;
+    std::size_t outIndex;
+    double weight; ///< +-2 (off-diagonal) or +-1 (diagonal) phase factor
+};
+
+/**
+ * One X-mask group, prepared for block-parallel evaluation. The block
+ * loop is the hot path; every (group, block) pair is an independent
+ * task whose per-member dot products land in block-indexed partial
+ * slots, and the final reduction walks blocks in ascending order —
+ * so the summation order (and therefore the result, bitwise) is the
+ * same for any thread count, including the serial path.
+ *
+ * Every member's Z-parity sign splits as sign(k) = sign(k0) * sign(j)
+ * for a block-aligned k0, so the per-j factor is the same for every
+ * block: it is built once per group as a +-1 lookup table, and the
+ * member loop over a block becomes a pure multiply-accumulate stream
+ * with no per-element popcount.
+ */
+struct GroupTask
+{
+    std::uint64_t xm = 0;
+    std::size_t hbit = 0; ///< pairing bit (0 for diagonal groups)
+    std::size_t xlo = 0;
+    std::size_t range = 0; ///< dim (diagonal) or dim/2 (off-diagonal)
+    std::size_t nblocks = 0;
+    std::size_t lutLen = 0;
+    std::vector<GroupMember> membersRe, membersIm;
+    std::vector<double> lutRe, lutIm;
+    /** Per-block partial sums, nblocks x members, block-major. */
+    std::vector<double> partialRe, partialIm;
+};
+
+void
+buildLuts(const std::vector<GroupMember> &members,
+          std::vector<double> &luts, std::size_t lut_len)
+{
+    luts.resize(members.size() * lut_len);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        const std::uint64_t zlo = members[m].zMask & (kBlockSize - 1);
+        double *lut = luts.data() + m * lut_len;
+        for (std::size_t j = 0; j < lut_len; ++j)
+            lut[j] = paritySign(j, zlo);
+    }
+}
+
+/** Evaluate one block of one group into its partial slots. */
+void
+processBlock(const GroupTask &task, std::size_t block,
+             const CVector &amps, double *partial_re,
+             double *partial_im)
+{
+    double tre[kBlockSize], tim[kBlockSize];
+    const std::size_t k0 = block * kBlockSize;
+    const std::size_t kn = std::min(kBlockSize, task.range - k0);
+
+    if (task.hbit == 0) {
+        // Diagonal group: one probability pass serves all members.
+        for (std::size_t j = 0; j < kn; ++j)
+            tre[j] = std::norm(amps[k0 + j]);
+    } else if (task.hbit >= kBlockSize) {
+        // Blocks never straddle a run boundary (hbit is a multiple of
+        // the block size), so b = b0 + j and the partner differs only
+        // by an XOR of the low X bits within the cache-resident
+        // window.
+        const std::size_t b0 = expandBit(k0, task.hbit);
+        const Complex *pa = amps.data() + b0;
+        const Complex *pb =
+            amps.data() + ((b0 ^ task.xm) & ~(kBlockSize - 1));
+        if (task.xlo == 0) {
+            for (std::size_t j = 0; j < kn; ++j) {
+                const Complex t = std::conj(pb[j]) * pa[j];
+                tre[j] = t.real();
+                tim[j] = t.imag();
+            }
+        } else {
+            for (std::size_t j = 0; j < kn; ++j) {
+                const Complex t = std::conj(pb[j ^ task.xlo]) * pa[j];
+                tre[j] = t.real();
+                tim[j] = t.imag();
+            }
+        }
+    } else {
+        for (std::size_t j = 0; j < kn; ++j) {
+            const std::size_t b = expandBit(k0 + j, task.hbit);
+            const Complex t =
+                std::conj(amps[b ^ task.xm]) * amps[b];
+            tre[j] = t.real();
+            tim[j] = t.imag();
+        }
+    }
+
+    for (std::size_t m = 0; m < task.membersRe.size(); ++m) {
+        const double base = paritySign(k0, task.membersRe[m].zMask);
+        const double *lut = task.lutRe.data() + m * task.lutLen;
+        double a = 0.0;
+        for (std::size_t j = 0; j < kn; ++j)
+            a += lut[j] * tre[j];
+        partial_re[m] = base * a;
+    }
+    for (std::size_t m = 0; m < task.membersIm.size(); ++m) {
+        const double base = paritySign(k0, task.membersIm[m].zMask);
+        const double *lut = task.lutIm.data() + m * task.lutLen;
+        double a = 0.0;
+        for (std::size_t j = 0; j < kn; ++j)
+            a += lut[j] * tim[j];
+        partial_im[m] = base * a;
+    }
+}
+
+} // namespace
+
+std::vector<double>
+refLutPerStringExpectations(const Statevector &state,
+                            const std::vector<PauliString> &strings)
+{
+    const CVector &amps = state.amplitudes();
+    const std::size_t dim = amps.size();
+    std::vector<double> out(strings.size(), 0.0);
+
+    // Group string indices by X mask.
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
+    groups.reserve(strings.size());
+    for (std::size_t k = 0; k < strings.size(); ++k) {
+        if (strings[k].isIdentity()) {
+            out[k] = 1.0;
+            continue;
+        }
+        groups[strings[k].xMask()].push_back(k);
+    }
+
+    // Prepare one GroupTask per X-mask group (members, sign LUTs,
+    // block-indexed partial slots). See file comment for the pairing
+    // symmetry behind the off-diagonal path: pairing on the *highest*
+    // X bit keeps both amplitude streams (nearly) sequential, member
+    // signs are evaluated in the compressed index space k with
+    // parity(b & z) == parity(k & compress(z)), and members split by
+    // Y-count parity — even-|Y| members read Re(t), odd-|Y| members
+    // read Im(t), with weight +-2 folding the canonical i^{|Y|} phase.
+    std::vector<GroupTask> tasks;
+    tasks.reserve(groups.size());
+    for (const auto &[xm, indices] : groups) {
+        GroupTask task;
+        task.xm = xm;
+        if (xm == 0) {
+            task.hbit = 0;
+            task.range = dim;
+            for (std::size_t idx : indices)
+                task.membersRe.push_back(
+                    GroupMember{strings[idx].zMask(), idx, 1.0});
+        } else {
+            const std::size_t hbit = std::bit_floor(xm);
+            task.hbit = hbit;
+            task.xlo = xm & (kBlockSize - 1);
+            task.range = dim >> 1;
+            for (std::size_t idx : indices) {
+                const int y = strings[idx].yCount();
+                const double w =
+                    (y % 4 == 0 || y % 4 == 3) ? 2.0 : -2.0;
+                const std::uint64_t zm = strings[idx].zMask();
+                const std::uint64_t zmc = (zm & (hbit - 1))
+                    | ((zm >> 1) & ~(hbit - 1));
+                const GroupMember gm{zmc, idx, w};
+                if (y % 2 == 0)
+                    task.membersRe.push_back(gm);
+                else
+                    task.membersIm.push_back(gm);
+            }
+        }
+        task.nblocks = (task.range + kBlockSize - 1) / kBlockSize;
+        task.lutLen = std::min(kBlockSize, task.range);
+        buildLuts(task.membersRe, task.lutRe, task.lutLen);
+        buildLuts(task.membersIm, task.lutIm, task.lutLen);
+        task.partialRe.resize(task.nblocks * task.membersRe.size());
+        task.partialIm.resize(task.nblocks * task.membersIm.size());
+        tasks.push_back(std::move(task));
+    }
+
+    // Flatten to (group, block) work items and fan out over the pool.
+    std::vector<std::pair<std::size_t, std::size_t>> work;
+    for (std::size_t g = 0; g < tasks.size(); ++g)
+        for (std::size_t b = 0; b < tasks[g].nblocks; ++b)
+            work.emplace_back(g, b);
+    ThreadPool::global().run(work.size(), [&](std::size_t w) {
+        const auto [g, b] = work[w];
+        GroupTask &task = tasks[g];
+        processBlock(task, b, amps,
+                     task.partialRe.data() + b * task.membersRe.size(),
+                     task.partialIm.data() + b * task.membersIm.size());
+    });
+
+    // Ordered reduction: blocks in ascending order per member, which
+    // reproduces the serial accumulation order bit-for-bit.
+    for (const GroupTask &task : tasks) {
+        for (std::size_t m = 0; m < task.membersRe.size(); ++m) {
+            double acc = 0.0;
+            for (std::size_t b = 0; b < task.nblocks; ++b)
+                acc += task.partialRe[b * task.membersRe.size() + m];
+            out[task.membersRe[m].outIndex] =
+                task.membersRe[m].weight * acc;
+        }
+        for (std::size_t m = 0; m < task.membersIm.size(); ++m) {
+            double acc = 0.0;
+            for (std::size_t b = 0; b < task.nblocks; ++b)
+                acc += task.partialIm[b * task.membersIm.size() + m];
+            out[task.membersIm[m].outIndex] =
+                task.membersIm[m].weight * acc;
         }
     }
     return out;

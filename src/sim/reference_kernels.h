@@ -15,6 +15,14 @@
  *    passes with a branch per element; Rxx as 5 passes via H
  *    conjugation, Ryy as 9). bench_micro_kernels times the optimized
  *    kernels against these so the speedup trajectory stays measurable.
+ *
+ *  - refLutPerStringExpectations: the blocked, pool-parallel batch
+ *    evaluator that rebuilt its X-mask groups and +-1 sign tables on
+ *    every call and summed through std::complex products. The
+ *    ExpectationPlan kernel must reproduce it bit-for-bit (same
+ *    per-member ascending-j chains, same block-ordered reduction), so
+ *    it is the oracle of the bit-identity tests and the baseline of
+ *    the expectations_lih12 bench series.
  */
 
 #ifndef TREEVQA_SIM_REFERENCE_KERNELS_H
@@ -63,6 +71,13 @@ void refApplyRyy(Statevector &state, int a, int b, double theta);
 /** Pre-optimization batched expectations: X-mask grouping only, member
  * loop with per-element branch, no blocking or pairing. */
 std::vector<double> refPerStringExpectations(
+    const Statevector &state, const std::vector<PauliString> &strings);
+
+/** The per-call sign-table batch evaluator (see file comment): X-mask
+ * groups and 1024-entry +-1 tables per member rebuilt on every call,
+ * (group, block) fan-out over the global pool, blocks reduced in
+ * ascending order. */
+std::vector<double> refLutPerStringExpectations(
     const Statevector &state, const std::vector<PauliString> &strings);
 
 } // namespace treevqa

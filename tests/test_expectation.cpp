@@ -1,15 +1,22 @@
 /**
  * @file
  * Tests for exact Pauli expectations on statevectors, including the
- * grouped batch evaluator against the single-string reference.
+ * grouped batch evaluator against the single-string reference and the
+ * ExpectationPlan's bit-identity with the sign-table evaluator it
+ * replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "circuit/hardware_efficient.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ham/spin_chains.h"
+#include "ham/synthetic_molecule.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
 
@@ -245,6 +252,145 @@ TEST(Expectation, LargeSystemBlockedPathsMatchReference)
                 << n << "q " << strings[k].toLabel();
         }
     }
+}
+
+/** |psi(theta)> of a 2-layer HEA with seeded angles in [-pi, pi]. */
+Statevector
+heaState(int n, std::uint64_t seed)
+{
+    const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2);
+    Rng rng(seed);
+    std::vector<double> theta(ansatz.numParams());
+    for (double &t : theta)
+        t = rng.uniform(-M_PI, M_PI);
+    return ansatz.prepare(theta);
+}
+
+std::vector<PauliString>
+stringsOf(const PauliSum &h)
+{
+    std::vector<PauliString> out;
+    for (const auto &term : h.terms())
+        out.push_back(term.string);
+    return out;
+}
+
+/**
+ * 14 qubits (8 blocks of pairs): X-mask groups whose pairing bit lies
+ * above and below the 1024-amplitude block size, with zero and nonzero
+ * low X bits (xlo); members with odd and even Y counts in groups of one
+ * lane set (Re-only and Im-only) and of several (Re, Im and mixed); a
+ * diagonal group and identity strings.
+ */
+std::vector<PauliString>
+boundaryStrings()
+{
+    const int n = 14;
+    const struct
+    {
+        std::uint64_t xMask;
+        std::size_t members;
+        int yParity; ///< 0 even, 1 odd, -1 either
+    } groups[] = {
+        {0, 6, 0},                                       // diagonal
+        {1u << 13, 3, 1},                                // xlo = 0
+        {(1u << 13) | (1u << 3), 2, 0},                  // xlo != 0
+        {(1u << 13) | (1u << 5), 3, 1},
+        {(1u << 13) | (1u << 12), 6, 1},                 // Im, 2 sets
+        {(1u << 10) | (1u << 9) | (1u << 1), 11, -1},    // hbit = 1024
+        {(1u << 9) | 1u, 1, 1},                          // hbit = 512
+        {(1u << 8) | (1u << 4), 4, 0},
+        {(1u << 2) | (1u << 1), 9, -1},                  // small hbit
+        {(1u << 12) | (1u << 11) | (1u << 4) | 1u, 7, -1},
+    };
+    Rng rng(4242);
+    std::vector<PauliString> strings;
+    strings.push_back(PauliString(n));
+    for (const auto &g : groups) {
+        for (std::size_t m = 0; m < g.members; ++m) {
+            PauliString p(n);
+            int firstX = -1;
+            for (int q = 0; q < n; ++q) {
+                const bool x = (g.xMask >> q) & 1u;
+                const bool z = rng.uniformInt(2) == 1;
+                p.setOp(q, x ? (z ? 'Y' : 'X') : (z ? 'Z' : 'I'));
+                if (x && firstX < 0)
+                    firstX = q;
+            }
+            if (g.yParity >= 0 && p.yCount() % 2 != g.yParity)
+                p.setOp(firstX, p.opAt(firstX) == 'X' ? 'Y' : 'X');
+            if (!p.isIdentity())
+                strings.push_back(p);
+        }
+    }
+    strings.push_back(PauliString(n));
+    return strings;
+}
+
+/**
+ * The ExpectationPlan must reproduce the sign-table evaluator it
+ * replaced bit-for-bit — the run energies pinned by the benchmark
+ * depend on it — at any pool size.
+ */
+TEST(ExpectationPlan, BitIdenticalToSignTableKernel)
+{
+    const SyntheticMoleculeSpec lih = syntheticLiH();
+    const struct
+    {
+        const char *name;
+        int qubits;
+        std::vector<PauliString> strings;
+    } cases[] = {
+        {"tfim10", 10, stringsOf(transverseFieldIsing(10, 1.0, 0.7))},
+        {"xxz10", 10, stringsOf(xxzChain(10, 1.0, 0.5))},
+        {"lih12", 12,
+         alignTerms(syntheticFamily(lih, familyBonds(lih, 4))).strings},
+        {"boundary14", 14, boundaryStrings()},
+    };
+    for (const auto &c : cases) {
+        const ExpectationPlan plan(c.strings);
+        ASSERT_EQ(plan.numStrings(), c.strings.size());
+        for (std::uint64_t seed : {3u, 17u}) {
+            const Statevector state = heaState(c.qubits, seed);
+            ThreadPool::global().resize(1);
+            const std::vector<double> expected =
+                refLutPerStringExpectations(state, c.strings);
+            for (std::size_t lanes : {1u, 2u, 4u}) {
+                ThreadPool::global().resize(lanes);
+                const std::vector<double> got = plan.evaluate(state);
+                const std::vector<double> oneShot =
+                    perStringExpectations(state, c.strings);
+                const std::vector<double> ref =
+                    refLutPerStringExpectations(state, c.strings);
+                const std::string where = std::string(c.name) + " seed "
+                    + std::to_string(seed) + " lanes "
+                    + std::to_string(lanes);
+                ASSERT_EQ(got.size(), expected.size()) << where;
+                EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                                      got.size() * sizeof(double)),
+                          0)
+                    << where;
+                EXPECT_EQ(std::memcmp(oneShot.data(), expected.data(),
+                                      got.size() * sizeof(double)),
+                          0)
+                    << where;
+                EXPECT_EQ(std::memcmp(ref.data(), expected.data(),
+                                      got.size() * sizeof(double)),
+                          0)
+                    << where;
+            }
+        }
+    }
+    ThreadPool::global().resize(0);
+}
+
+TEST(ExpectationPlan, EmptyAndIdentityOnlySets)
+{
+    const Statevector s = randomState(9);
+    EXPECT_TRUE(ExpectationPlan({}).evaluate(s).empty());
+    const std::vector<double> ones =
+        ExpectationPlan({PauliString(4), PauliString(4)}).evaluate(s);
+    EXPECT_EQ(ones, (std::vector<double>{1.0, 1.0}));
 }
 
 TEST(Expectation, ExpectationBoundsRespected)

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "common/rng.h"
 #include "pauli/pauli_sum.h"
 
 namespace treevqa {
@@ -79,6 +82,73 @@ TEST(PauliSum, ApplyToKnownAction)
     CVector one = {Complex(0, 0), Complex(1, 0)};
     hz.applyTo(one, out);
     EXPECT_NEAR(std::abs(out[1] + Complex(1, 0)), 0.0, 1e-15);
+}
+
+/** y = H x term by term with complex phases: the textbook action
+ * P|b> = i^{|Y|} (-1)^{popcount(b & z)} |b ^ x>. */
+CVector
+naiveApply(const PauliSum &h, const CVector &x)
+{
+    static const Complex kPhases[4] = {
+        Complex(1, 0), Complex(0, 1), Complex(-1, 0), Complex(0, -1)};
+    CVector y(x.size(), Complex(0.0, 0.0));
+    for (const auto &term : h.terms()) {
+        const std::uint64_t xm = term.string.xMask();
+        const std::uint64_t zm = term.string.zMask();
+        const Complex base =
+            term.coefficient * kPhases[term.string.yCount() % 4];
+        for (std::size_t b = 0; b < x.size(); ++b) {
+            const double sign = std::popcount(b & zm) & 1 ? -1.0 : 1.0;
+            y[b ^ xm] += base * sign * x[b];
+        }
+    }
+    return y;
+}
+
+TEST(PauliSum, ApplyToMatchesNaivePerTermAction)
+{
+    // Random sums with every Y-count residue, X masks shared by several
+    // terms (above and below the 512-amplitude block), and an identity
+    // term; 3 qubits is smaller than one sign chunk.
+    const char ops[4] = {'I', 'X', 'Y', 'Z'};
+    for (int n : {3, 11}) {
+        Rng rng(900 + n);
+        PauliSum h(n);
+        h.add(0.75, PauliString(n));
+        for (int g = 0; g < 24; ++g) {
+            PauliString base(n);
+            for (int q = 0; q < n; ++q)
+                base.setOp(q, ops[rng.uniformInt(4)]);
+            const int members = 1 + static_cast<int>(rng.uniformInt(5));
+            for (int m = 0; m < members; ++m) {
+                PauliString p = base;
+                for (int q = 0; q < n; ++q) {
+                    // Keep the X mask, redraw the Z part.
+                    const bool x = p.opAt(q) == 'X' || p.opAt(q) == 'Y';
+                    const bool z = rng.uniformInt(2) == 1;
+                    p.setOp(q, x ? (z ? 'Y' : 'X') : (z ? 'Z' : 'I'));
+                }
+                h.add(rng.uniform(-2.0, 2.0), p);
+            }
+        }
+        bool seen[4] = {};
+        for (const auto &term : h.terms())
+            seen[term.string.yCount() % 4] = true;
+        EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]) << n;
+
+        CVector x(std::size_t{1} << n);
+        for (Complex &v : x)
+            v = Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+        CVector y;
+        h.applyTo(x, y);
+        const CVector expected = naiveApply(h, x);
+        ASSERT_EQ(y.size(), expected.size());
+        const double tol = 1e-13 * h.l1NormWithIdentity();
+        double worst = 0.0;
+        for (std::size_t b = 0; b < y.size(); ++b)
+            worst = std::max(worst, std::abs(y[b] - expected[b]));
+        EXPECT_LE(worst, tol) << n << " qubits";
+    }
 }
 
 TEST(PauliSum, ExpectationOnBasisStates)
