@@ -526,14 +526,9 @@ benchClaimPath()
     // so the claim/scan/record protocol is the *whole* cost) and the
     // rows report counters, not timings — store bytes read per drained
     // job, WorkClaim::tryAcquire round-trips per drained job, and scan
-    // rounds per drain. The full-rescan baseline (incrementalScan =
-    // false: the merged store re-read every round) is O(N) bytes per
-    // job and is measured at 500/2000 jobs; the incremental tail
-    // reader is measured at 2000/10000 — with shard rolling + tier
-    // folding live at 10000 — and must stay asymptotically flat. The
-    // ref column of dist_scan_bytes_job_incr_2000 is the equal-N
-    // full-rescan figure, so its speedup column is the measured I/O
-    // reduction.
+    // rounds per drain. The tail reader is measured at 2000/10000
+    // jobs — with shard rolling + tier folding live at 10000 — and
+    // must stay asymptotically flat.
     const std::filesystem::path root =
         std::filesystem::temp_directory_path()
         / ("treevqa_bench_claim_" + localWorkerId());
@@ -560,16 +555,12 @@ benchClaimPath()
     {
         const char *tag;
         int jobs;
-        bool incremental;
         std::int64_t rollBytes;
     };
     const Config configs[] = {
-        {"full_500", 500, false, 0},
-        {"full_2000", 2000, false, 0},
-        {"incr_2000", 2000, true, 0},
-        {"incr_10000", 10000, true, 256 * 1024},
+        {"incr_2000", 2000, 0},
+        {"incr_10000", 10000, 256 * 1024},
     };
-    double full2000_bytes_job = 0.0;
     for (const Config &config : configs) {
         const std::vector<ScenarioSpec> specs =
             specs_for(config.jobs);
@@ -583,7 +574,6 @@ benchClaimPath()
         options.leaseMs = 60000;
         options.pollMs = 1;
         options.claimBatch = 8;
-        options.incrementalScan = config.incremental;
         options.shardRollBytes = config.rollBytes;
         options.healthSnapshots = false;
         options.jobRunner = [](const ScenarioSpec &spec,
@@ -608,11 +598,8 @@ benchClaimPath()
         const double jobs = static_cast<double>(config.jobs);
         const double bytes_job =
             static_cast<double>(report.storeBytesRead) / jobs;
-        if (std::string(config.tag) == "full_2000")
-            full2000_bytes_job = bytes_job;
-        const bool paired = std::string(config.tag) == "incr_2000";
         record(std::string("dist_scan_bytes_job_") + config.tag, 0,
-               bytes_job, paired ? full2000_bytes_job : 0.0);
+               bytes_job, 0.0);
         record(std::string("dist_claim_ops_job_") + config.tag, 0,
                static_cast<double>(report.claimAttempts) / jobs, 0.0);
         record(std::string("dist_scans_drain_") + config.tag, 0,

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <set>
-#include <sstream>
 
 #include <unistd.h>
 
+#include "common/crc_line.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
@@ -34,51 +33,6 @@ eventMetrics()
                           reg.counter("event.flush_failures"),
                           reg.counter("event.dropped_lines")};
     return m;
-}
-
-/**
- * Quarantine one corrupt journal line under
- * `<events>/quarantine/<journal>`, wrapped in a provenance envelope.
- * Best effort, and once per (journal, line, content) per process —
- * the exact discipline of quarantineStoreLine, re-implemented here so
- * the common layer does not reach up into svc/result_store.
- */
-void
-quarantineEventLine(const std::string &journalPath,
-                    std::size_t lineNumber, const std::string &line,
-                    const std::string &reason)
-{
-    static std::mutex mutex;
-    static std::set<std::string> seen;
-    const std::string key = journalPath + "#"
-        + std::to_string(lineNumber) + "#" + crc32Hex(line);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!seen.insert(key).second)
-            return;
-    }
-    try {
-        namespace fs = std::filesystem;
-        const fs::path journal(journalPath);
-        const fs::path dir = journal.parent_path() / "quarantine";
-        std::error_code ec;
-        fs::create_directories(dir, ec);
-        JsonValue envelope = JsonValue::object();
-        envelope.set("journal", JsonValue(journal.filename().string()));
-        envelope.set("line",
-                     JsonValue(static_cast<std::int64_t>(lineNumber)));
-        envelope.set("reason", JsonValue(reason));
-        envelope.set("content", JsonValue(line));
-        appendTextDurable((dir / journal.filename()).string(),
-                          envelope.dump() + "\n");
-        std::fprintf(stderr,
-                     "treevqa: quarantined corrupt event line %s:%zu "
-                     "(%s)\n",
-                     journalPath.c_str(), lineNumber, reason.c_str());
-    } catch (const std::exception &) {
-        // A quarantine that cannot be written must not turn a
-        // tolerated corruption into a crash.
-    }
 }
 
 } // namespace
@@ -250,16 +204,10 @@ bool
 decodeEventLine(const std::string &line, SweepEvent &event,
                 std::string *reason)
 {
+    JsonValue parsed;
+    if (decodeCrcJson(line, parsed, reason) != CrcStatus::Ok)
+        return false;
     try {
-        JsonValue parsed = JsonValue::parse(line);
-        if (!parsed.isObject())
-            throw std::runtime_error("not an object");
-        if (!parsed.contains("crc"))
-            throw std::runtime_error("missing crc");
-        const std::string expected = parsed.at("crc").asString();
-        parsed.erase("crc");
-        if (crc32Hex(parsed.dump()) != expected)
-            throw std::runtime_error("crc mismatch");
         SweepEvent decoded;
         decoded.hlc = hlcFromJson(parsed.at("hlc"));
         decoded.type = parsed.at("type").asString();
@@ -270,7 +218,7 @@ decodeEventLine(const std::string &line, SweepEvent &event,
         return true;
     } catch (const std::exception &e) {
         if (reason)
-            *reason = e.what();
+            *reason = std::string("invalid event: ") + e.what();
         return false;
     }
 }
@@ -343,10 +291,7 @@ EventLog::emit(const std::string &type, const std::string &job,
     event.job = job;
     event.detail = std::move(detail);
 
-    JsonValue line = eventToJson(event);
-    const std::string body = line.dump();
-    line.set("crc", JsonValue(crc32Hex(body)));
-    buffer_ += line.dump();
+    buffer_ += crcStampedLine(eventToJson(event));
     buffer_ += '\n';
     ++bufferedLines_;
     eventMetrics().emitted.inc();
@@ -416,13 +361,11 @@ readEventJournal(const std::string &path, EventReadStats *stats)
         return events;
     if (stats)
         ++stats->files;
-    std::istringstream lines(text);
-    std::string line;
-    std::size_t lineNumber = 0;
-    while (std::getline(lines, line)) {
-        ++lineNumber;
-        if (line.empty())
-            continue;
+    const std::filesystem::path journal(path);
+    const std::string quarantine =
+        (journal.parent_path() / "quarantine" / journal.filename())
+            .string();
+    const auto decode = [&](std::size_t number, const std::string &line) {
         SweepEvent event;
         std::string reason;
         if (decodeEventLine(line, event, &reason)) {
@@ -430,28 +373,22 @@ readEventJournal(const std::string &path, EventReadStats *stats)
             if (stats)
                 ++stats->events;
         } else {
-            quarantineEventLine(path, lineNumber, line, reason);
+            quarantineLineOnce(path, quarantine, number, line, reason);
             if (stats)
                 ++stats->corruptLines;
         }
-    }
+    };
+    std::size_t lineNumber = 0;
+    forEachLine(text, lineNumber, /*completeOnly=*/false, decode);
     return events;
 }
 
 std::vector<SweepEvent>
 readSweepEvents(const std::string &sweepDir, EventReadStats *stats)
 {
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepEventDir(sweepDir), ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
     std::vector<SweepEvent> events;
-    for (const std::string &path : files) {
+    for (const std::string &path :
+         sortedJsonlFiles(sweepEventDir(sweepDir))) {
         std::vector<SweepEvent> journal =
             readEventJournal(path, stats);
         events.insert(events.end(),

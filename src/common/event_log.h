@@ -27,8 +27,9 @@
  * flush failure (fault site "event.append") drops the batch instead
  * of crashing the protocol. Readers validate every line's CRC and
  * quarantine torn or corrupt lines — once per (journal, line,
- * content) per process — under `<sweep>/events/quarantine/`, exactly
- * the store discipline of PR 6.
+ * content) per process — under `<sweep>/events/quarantine/`: the
+ * result store's discipline, through the same CRC line codec
+ * (common/crc_line.h).
  */
 
 #ifndef TREEVQA_COMMON_EVENT_LOG_H

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <map>
 
+#include "common/crc_line.h"
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -39,28 +40,13 @@ mergeMetrics()
     return m;
 }
 
-std::vector<std::string>
-sortedJsonlPaths(const std::string &dir)
-{
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
 /** Shard paths in sorted order, so the merge input sequence (and
  * therefore the dedup pick among bit-equal duplicates) is independent
  * of directory enumeration order. */
 std::vector<std::string>
 sortedShardPaths(const std::string &sweepDir)
 {
-    return sortedJsonlPaths(sweepShardDir(sweepDir));
+    return sortedJsonlFiles(sweepShardDir(sweepDir));
 }
 
 /** The numeric level of a tier file ("L<k>-<tag>.jsonl"), or -1 for a
@@ -88,7 +74,7 @@ std::vector<std::string>
 sortedTierPaths(const std::string &sweepDir)
 {
     std::vector<std::string> tiers =
-        sortedJsonlPaths(sweepTierDir(sweepDir));
+        sortedJsonlFiles(sweepTierDir(sweepDir));
     std::stable_sort(tiers.begin(), tiers.end(),
                      [](const std::string &a, const std::string &b) {
                          return tierLevel(a) < tierLevel(b);

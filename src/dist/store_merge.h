@@ -76,7 +76,7 @@ struct SweepMergeStats
  * Load every record of the sweep directory — the canonical store
  * first, then sealed tiers (ordered by level then name), then worker
  * shards in sorted filename order — deduplicated by fingerprint
- * (newest complete record wins) and sorted by job name (ties broken
+ * (the JobResolution survivor rule) and sorted by job name (ties broken
  * by fingerprint). The read-only merged view used by worker scan
  * loops and `treevqa_run --status`. A load that races a concurrent
  * tier fold (an enumerated file vanishing before it could be read) is

@@ -7,8 +7,10 @@
 
 #include <sys/stat.h>
 
+#include "common/crc_line.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "dist/store_merge.h"
 #include "svc/sweep_dir.h"
 
 namespace treevqa {
@@ -42,87 +44,25 @@ tailMetrics()
     return m;
 }
 
-void
-collectJsonl(const std::string &dir, std::vector<std::string> &out)
+/** Every record store of the sweep (canonical + tiers + shards),
+ * sorted. */
+std::vector<std::string>
+storeFiles(const std::string &sweepDir)
 {
+    std::vector<std::string> files =
+        sortedJsonlFiles(sweepTierDir(sweepDir));
+    for (std::string &shard :
+         sortedJsonlFiles(sweepShardDir(sweepDir)))
+        files.push_back(std::move(shard));
+    const std::string canonical = sweepStorePath(sweepDir);
     std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            out.push_back(entry.path().string());
-    }
+    if (std::filesystem::exists(canonical, ec))
+        files.push_back(canonical);
+    std::sort(files.begin(), files.end());
+    return files;
 }
 
 } // namespace
-
-void
-JobResolution::fold(const JobResult &record)
-{
-    if (record.completed) {
-        // Duplicates of a completed record are bit-identical (pure
-        // function of the spec), so the first one seen is the verdict;
-        // any failure history it supersedes is cleared, matching
-        // dedupeByFingerprint's complete-record-wins rule.
-        if (!completed) {
-            completed = true;
-            failed = false;
-            timedOut = false;
-            attempts = 0;
-            iterations = record.iterations;
-            finalEnergy = record.finalEnergy;
-            shotsUsed = record.shotsUsed;
-            errorMessage.clear();
-        }
-        return;
-    }
-    if (completed)
-        return; // never degrade a completed verdict
-    if (record.failed) {
-        if (failed) {
-            // Fleet-wide poison accounting: concurrent workers'
-            // failure records sum their attempt counts
-            // (order-independent); a legacy attempts == 0 record
-            // means budget-exhausted and dominates the sum.
-            attempts = (attempts == 0 || record.attempts == 0)
-                ? 0
-                : attempts + record.attempts;
-            timedOut = timedOut || record.timedOut;
-        } else {
-            failed = true;
-            attempts = record.attempts;
-            timedOut = record.timedOut;
-            iterations = record.iterations;
-            finalEnergy = record.finalEnergy;
-            shotsUsed = record.shotsUsed;
-            errorMessage = record.errorMessage;
-        }
-        return;
-    }
-    // A halted partial record (single-process --halt runs): display
-    // scalars only, never a verdict.
-    if (!failed) {
-        iterations = record.iterations;
-        finalEnergy = record.finalEnergy;
-        shotsUsed = record.shotsUsed;
-    }
-}
-
-int
-JobResolution::priorAttempts(int maxJobAttempts) const
-{
-    if (!failed || completed)
-        return 0;
-    return attempts == 0 ? maxJobAttempts : attempts;
-}
-
-bool
-JobResolution::resolved(int maxJobAttempts) const
-{
-    if (completed)
-        return true;
-    return failed && priorAttempts(maxJobAttempts) >= maxJobAttempts;
-}
 
 StoreTailReader::StoreTailReader(std::string sweepDir)
     : sweepDir_(std::move(sweepDir))
@@ -169,14 +109,9 @@ StoreTailReader::consumeAppends(const std::string &path,
     // append in flight (or the torn tail of a killed writer, which
     // the next durable append seals with a newline) — leave the
     // cursor at the line start and re-read it once terminated.
-    std::size_t pos = 0;
-    for (;;) {
-        const std::size_t nl = chunk.find('\n', pos);
-        if (nl == std::string::npos)
-            break;
-        const std::string line = chunk.substr(pos, nl - pos);
-        ++cursor.lines;
-        if (!line.empty()) {
+    cursor.offset += forEachLine(
+        chunk, cursor.lines, /*completeOnly=*/true,
+        [&](std::size_t number, const std::string &line) {
             ++counters_.linesParsed;
             tailMetrics().linesParsed.inc();
             JobResult record;
@@ -187,14 +122,9 @@ StoreTailReader::consumeAppends(const std::string &path,
             } else {
                 ++counters_.quarantinedLines;
                 tailMetrics().quarantinedLines.inc();
-                quarantineStoreLine(
-                    path, static_cast<std::size_t>(cursor.lines),
-                    line, reason);
+                quarantineStoreLine(path, number, line, reason);
             }
-        }
-        pos = nl + 1;
-    }
-    cursor.offset += pos;
+        });
     return true;
 }
 
@@ -209,14 +139,7 @@ StoreTailReader::refresh()
     // a consistent snapshot always exists because every mutation
     // writes its replacement before deleting its input.
     for (int attempt = 0; attempt < 3; ++attempt) {
-        std::vector<std::string> files;
-        const std::string canonical = sweepStorePath(sweepDir_);
-        std::error_code ec;
-        if (std::filesystem::exists(canonical, ec))
-            files.push_back(canonical);
-        collectJsonl(sweepTierDir(sweepDir_), files);
-        collectJsonl(sweepShardDir(sweepDir_), files);
-        std::sort(files.begin(), files.end());
+        const std::vector<std::string> files = storeFiles(sweepDir_);
 
         bool reset = forceRescan_;
         if (!reset) {
@@ -252,6 +175,57 @@ StoreTailReader::refresh()
             return;
         forceRescan_ = true;
     }
+}
+
+std::vector<std::size_t>
+StoreTailReader::confirmByFullLoad(
+    const std::vector<std::string> &fingerprints,
+    std::uint64_t generation, int maxJobAttempts,
+    const std::set<std::string> &alsoResolved, std::uint64_t *bytesRead)
+{
+    if (bytesRead)
+        *bytesRead = 0;
+    if (generation == confirmedGeneration_)
+        return {};
+    if (bytesRead)
+        *bytesRead = sweepStoreBytes(sweepDir_);
+    const std::map<std::string, JobResolution> full =
+        foldMergedRecords(sweepDir_);
+    std::vector<std::size_t> unresolved;
+    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+        if (alsoResolved.count(fingerprints[i]))
+            continue;
+        const auto it = full.find(fingerprints[i]);
+        if (it == full.end() || !it->second.resolved(maxJobAttempts))
+            unresolved.push_back(i);
+    }
+    if (unresolved.empty())
+        confirmedGeneration_ = generation;
+    else
+        invalidate();
+    return unresolved;
+}
+
+std::map<std::string, JobResolution>
+foldMergedRecords(const std::string &sweepDir)
+{
+    std::map<std::string, JobResolution> resolutions;
+    for (const JobResult &record : loadMergedRecords(sweepDir))
+        resolutions[record.fingerprint].fold(record);
+    return resolutions;
+}
+
+std::uint64_t
+sweepStoreBytes(const std::string &sweepDir)
+{
+    std::uint64_t total = 0;
+    for (const std::string &path : storeFiles(sweepDir)) {
+        std::error_code ec;
+        const auto bytes = std::filesystem::file_size(path, ec);
+        if (!ec)
+            total += bytes;
+    }
+    return total;
 }
 
 } // namespace treevqa

@@ -9,20 +9,18 @@
  * cursor (inode + offset + line number) per store file and, per
  * refresh, stats the current file set and parses only the bytes
  * appended since the last refresh, folding each decoded record into an
- * in-memory fingerprint → JobResolution map. The fold is
- * order-independent and mirrors dedupeByFingerprint exactly: a
- * completed record dominates, concurrent workers' failed records sum
- * their attempt counts (a legacy attempts == 0 record reads as
- * budget-exhausted and dominates the sum), and timedOut is sticky — so
- * the incremental view reaches the same resolved/pending verdicts the
- * full merge would.
+ * in-memory fingerprint → JobResolution map (svc/result_store.h). The
+ * fold is the project's one record-resolution rule and is
+ * order-independent, so the incremental view reaches the verdicts a
+ * full load folded the same way would.
  *
  * Validation parity: every appended line runs the same
- * decodeStoredLine chain as ResultStore::load, torn trailing lines
- * (no '\n' yet — an append in flight) are left unconsumed and re-read
- * once sealed, and corrupt lines are quarantined through the same
- * once-per-(file,line,content) gate, so a record rejected by the full
- * loader is rejected incrementally too, exactly once.
+ * decodeStoredLine chain and numbered line loop (common/crc_line.h) as
+ * ResultStore::load, torn trailing lines (no '\n' yet — an append in
+ * flight) are left unconsumed and re-read once sealed, and corrupt
+ * lines are quarantined through the same once-per-(file,line,content)
+ * gate, so a record rejected by the full loader is rejected
+ * incrementally too, exactly once.
  *
  * Invalidation: the cursors are only valid while every tracked file
  * grows in place. Compaction rewrites the canonical store (new
@@ -44,47 +42,13 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "svc/result_store.h"
 
 namespace treevqa {
-
-/**
- * The folded verdict for one job fingerprint across every record seen
- * for it, equivalent to what dedupeByFingerprint would leave merged
- * into the surviving record. Carries only the scalars the scan loop
- * and status view need — never the trajectory/parameter bodies, which
- * is what lets a 10^6-job view fit in memory.
- */
-struct JobResolution
-{
-    bool completed = false;
-    bool failed = false;
-    /** Cumulative fleet-wide failed attempts (0 = budget-exhausted
-     * legacy marker, which dominates sums). Meaningful when failed. */
-    int attempts = 0;
-    bool timedOut = false;
-    /** Display scalars from the winning record (status view). */
-    int iterations = 0;
-    double finalEnergy = 0.0;
-    std::uint64_t shotsUsed = 0;
-    std::string errorMessage;
-
-    /** Fold one decoded record in (order-independent). */
-    void fold(const JobResult &record);
-
-    /** Attempts this fingerprint's failure history accounts for under
-     * `maxJobAttempts` (worker_daemon's effectiveAttempts view; 0
-     * when there is no failure to account). */
-    int priorAttempts(int maxJobAttempts) const;
-
-    /** Resolving under the budget: completed, or failed with the
-     * cumulative attempts at/past `maxJobAttempts` (a legacy
-     * attempts == 0 record reads as budget-exhausted). Mirrors
-     * resolvedFingerprints(). */
-    bool resolved(int maxJobAttempts) const;
-};
 
 /** Tail-reader observability: the currency of the dist_throughput
  * bench and the scale tests. */
@@ -120,6 +84,24 @@ class StoreTailReader
      * just mutated the store layout themselves (compaction). */
     void invalidate();
 
+    /**
+     * Confirm a drained-looking view — it is an optimization, never
+     * the drain proof — with one authoritative full load
+     * (foldMergedRecords) per job-list `generation`. Returns the
+     * indices of `fingerprints` the full load leaves unresolved under
+     * `maxJobAttempts`, skipping those in `alsoResolved`; when any
+     * remain (the view over-resolved through a transient fold-overlap
+     * double count, or lost a race), invalidates the view. A
+     * generation already confirmed returns empty without loading, so
+     * an idle daemon does not pay an O(N) load every poll.
+     * `bytesRead`, when non-null, receives the store bytes loaded.
+     */
+    std::vector<std::size_t>
+    confirmByFullLoad(const std::vector<std::string> &fingerprints,
+                      std::uint64_t generation, int maxJobAttempts,
+                      const std::set<std::string> &alsoResolved = {},
+                      std::uint64_t *bytesRead = nullptr);
+
     /** The folded view (valid until the next refresh/invalidate). */
     const std::map<std::string, JobResolution> &resolutions() const
     {
@@ -138,7 +120,7 @@ class StoreTailReader
         /** Complete lines consumed — 1-based numbering parity with
          * ResultStore::load, so the quarantine once-only gate sees
          * identical (path, line, content) keys from both readers. */
-        std::uint64_t lines = 0;
+        std::size_t lines = 0;
     };
 
     /** Consume bytes appended to `path` past its cursor. Returns
@@ -151,7 +133,17 @@ class StoreTailReader
     std::map<std::string, JobResolution> resolutions_;
     TailCounters counters_;
     bool forceRescan_ = false;
+    std::uint64_t confirmedGeneration_ = 0;
 };
+
+/** One full load of the sweep's records (loadMergedRecords) folded
+ * into the fingerprint → JobResolution view the tail reader builds. */
+std::map<std::string, JobResolution>
+foldMergedRecords(const std::string &sweepDir);
+
+/** Total on-disk bytes of the sweep's record stores (canonical +
+ * tiers + shards): what one full load reads. */
+std::uint64_t sweepStoreBytes(const std::string &sweepDir);
 
 } // namespace treevqa
 

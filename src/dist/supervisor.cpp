@@ -444,11 +444,11 @@ Supervisor::watchdogScan(std::int64_t nowMs)
 
         const ScenarioSpec *spec =
             index_ ? index_->byFingerprint(info.fingerprint) : nullptr;
-        const bool resolved =
-            resolvedFingerprints(loadMergedRecords(options_.sweepDir),
-                                 options_.maxJobAttempts)
-                .count(info.fingerprint)
-            > 0;
+        const std::map<std::string, JobResolution> full =
+            foldMergedRecords(options_.sweepDir);
+        const auto res = full.find(info.fingerprint);
+        const bool resolved = res != full.end()
+            && res->second.resolved(options_.maxJobAttempts);
         if (spec && !resolved) {
             JobResult timeout;
             timeout.spec = *spec;
@@ -555,22 +555,12 @@ Supervisor::sweepDrained()
             || !it->second.resolved(options_.maxJobAttempts))
             return false;
     }
-    // The incremental view is advisory (a racing compaction window can
-    // transiently over-count attempts); confirm a drained-looking tail
-    // with one authoritative full load per job-list generation before
-    // tearing the fleet down.
-    if (drainConfirmedFor_ == index_->expansions())
-        return true;
-    const std::set<std::string> resolved =
-        resolvedFingerprints(loadMergedRecords(options_.sweepDir),
-                             options_.maxJobAttempts);
-    for (const std::string &fp : index_->fingerprints())
-        if (resolved.count(fp) == 0) {
-            tail_->invalidate();
-            return false;
-        }
-    drainConfirmedFor_ = index_->expansions();
-    return true;
+    // The incremental view is advisory; confirm a drained-looking tail
+    // with one authoritative full load before tearing the fleet down.
+    return tail_
+        ->confirmByFullLoad(index_->fingerprints(), index_->expansions(),
+                            options_.maxJobAttempts)
+        .empty();
 }
 
 JsonValue

@@ -197,13 +197,12 @@ class Supervisor
      * when sweep.json changes and the tail reader parses only
      * appended record bytes; a drained-looking tail view is confirmed
      * once per job-list generation by an authoritative full load
-     * (drainConfirmedFor_). The index also serves the watchdog's
-     * fingerprint → spec lookups. Lazily created (the sweep dir must
-     * exist first).
+     * (StoreTailReader::confirmByFullLoad). The index also serves the
+     * watchdog's fingerprint → spec lookups. Lazily created (the sweep
+     * dir must exist first).
      */
     std::unique_ptr<SweepIndex> index_;
     std::unique_ptr<StoreTailReader> tail_;
-    std::uint64_t drainConfirmedFor_ = 0;
 };
 
 } // namespace treevqa

@@ -94,72 +94,7 @@ workerScanOffset(const std::string &workerId)
     return static_cast<std::size_t>(hash);
 }
 
-/**
- * Attempts a failed record accounts for, as seen through the poison
- * budget. A legacy record (attempts == 0, written before attempt
- * accounting) reads as budget-exhausted — the pre-fleet-budget
- * semantics those records were written under.
- */
-int
-effectiveAttempts(const JobResult &record, int maxJobAttempts)
-{
-    return record.attempts == 0 ? maxJobAttempts : record.attempts;
-}
-
-/** Total on-disk bytes of the sweep's record stores (canonical +
- * tiers + shards): what one full-rescan round costs to read — the
- * O(N)-baseline half of the dist_throughput bench accounting. */
-std::uint64_t
-sweepStoreBytes(const std::string &sweepDir)
-{
-    namespace fs = std::filesystem;
-    std::uint64_t total = 0;
-    std::error_code ec;
-    const auto size = fs::file_size(sweepStorePath(sweepDir), ec);
-    if (!ec)
-        total += size;
-    for (const std::string &dir :
-         {sweepTierDir(sweepDir), sweepShardDir(sweepDir)}) {
-        std::error_code dec;
-        for (const auto &entry : fs::directory_iterator(dir, dec)) {
-            if (!entry.is_regular_file()
-                || entry.path().extension() != ".jsonl")
-                continue;
-            std::error_code fec;
-            const auto bytes = entry.file_size(fec);
-            if (!fec)
-                total += bytes;
-        }
-    }
-    return total;
-}
-
 } // namespace
-
-std::set<std::string>
-resolvedFingerprints(const std::vector<JobResult> &records,
-                     int maxJobAttempts)
-{
-    std::set<std::string> done;
-    for (const JobResult &record : records)
-        if (record.completed
-            || (record.failed
-                && effectiveAttempts(record, maxJobAttempts)
-                    >= maxJobAttempts))
-            done.insert(record.fingerprint);
-    return done;
-}
-
-int
-priorFailedAttempts(const std::vector<JobResult> &records,
-                    const std::string &fingerprint, int maxJobAttempts)
-{
-    for (const JobResult &record : records)
-        if (record.fingerprint == fingerprint && record.failed
-            && !record.completed)
-            return effectiveAttempts(record, maxJobAttempts);
-    return 0;
-}
 
 std::int64_t
 jitteredPollMs(std::int64_t pollMs, const std::string &workerId)
@@ -311,11 +246,6 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
     const std::size_t scan_salt = workerScanOffset(options_.workerId);
     publishHealth([](WorkerHealth &h) { h.state = "idle"; });
 
-    // Drained verdicts are confirmed by one authoritative full load;
-    // remembering which job-list generation was confirmed keeps a
-    // daemon-mode idle loop from paying that O(N) load every poll.
-    std::uint64_t drain_confirmed_for = 0;
-
     while (!stop_.load()) {
         const JobSet jobs = source();
         const std::vector<ScenarioSpec> &specs = *jobs.specs;
@@ -330,52 +260,27 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         std::vector<std::size_t> pending;
         {
             TRACE_SPAN_TIMED("worker.scan", workerMetrics().scanNs);
-            if (options_.incrementalScan) {
-                tail.refresh();
-                const auto &resolutions = tail.resolutions();
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    if (poisoned_.count(fingerprints[i]))
-                        continue;
-                    const auto it = resolutions.find(fingerprints[i]);
-                    if (it != resolutions.end()
-                        && it->second.resolved(
-                            options_.maxJobAttempts))
-                        continue;
-                    pending.push_back(i);
-                }
-            } else {
-                const std::uint64_t full_bytes = sweepStoreBytes(dir);
-                report.storeBytesRead += full_bytes;
-                workerMetrics().fullLoadBytes.inc(full_bytes);
-                std::set<std::string> done = resolvedFingerprints(
-                    loadMergedRecords(dir), options_.maxJobAttempts);
-                done.insert(poisoned_.begin(), poisoned_.end());
-                for (std::size_t i = 0; i < specs.size(); ++i)
-                    if (done.count(fingerprints[i]) == 0)
-                        pending.push_back(i);
+            tail.refresh();
+            const auto &resolutions = tail.resolutions();
+            for (std::size_t i = 0; i < specs.size(); ++i) {
+                if (poisoned_.count(fingerprints[i]))
+                    continue;
+                const auto it = resolutions.find(fingerprints[i]);
+                if (it != resolutions.end()
+                    && it->second.resolved(options_.maxJobAttempts))
+                    continue;
+                pending.push_back(i);
             }
         }
 
-        if (pending.empty() && options_.incrementalScan
-            && drain_confirmed_for != jobs.expansions) {
-            // The incremental view is an optimization, never the
-            // drain proof: one full merged load arbitrates. A
-            // mismatch (the tail over-resolved through a transient
-            // fold-overlap double count, or lost a race) rebuilds the
-            // view and keeps scanning.
-            const std::uint64_t full_bytes = sweepStoreBytes(dir);
+        if (pending.empty()) {
+            // Drained verdicts are confirmed by one full load.
+            std::uint64_t full_bytes = 0;
+            pending = tail.confirmByFullLoad(
+                fingerprints, jobs.expansions, options_.maxJobAttempts,
+                poisoned_, &full_bytes);
             report.storeBytesRead += full_bytes;
             workerMetrics().fullLoadBytes.inc(full_bytes);
-            std::set<std::string> done = resolvedFingerprints(
-                loadMergedRecords(dir), options_.maxJobAttempts);
-            done.insert(poisoned_.begin(), poisoned_.end());
-            for (std::size_t i = 0; i < specs.size(); ++i)
-                if (done.count(fingerprints[i]) == 0)
-                    pending.push_back(i);
-            if (pending.empty())
-                drain_confirmed_for = jobs.expansions;
-            else
-                tail.invalidate();
         }
 
         if (pending.empty()) {
@@ -460,45 +365,22 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         // fingerprint, so the attempt counts read here cannot be
         // raced past the budget while we hold the leases.
         {
-            std::set<std::string> done;
-            std::vector<JobResult> merged;
-            const std::map<std::string, JobResolution> *resolutions =
-                nullptr;
-            if (options_.incrementalScan) {
-                tail.refresh();
-                resolutions = &tail.resolutions();
-            } else {
-                const std::uint64_t full_bytes = sweepStoreBytes(dir);
-                report.storeBytesRead += full_bytes;
-                workerMetrics().fullLoadBytes.inc(full_bytes);
-                merged = loadMergedRecords(dir);
-                done = resolvedFingerprints(merged,
-                                            options_.maxJobAttempts);
-            }
+            tail.refresh();
+            const auto &resolutions = tail.resolutions();
             std::vector<BatchSlot> live;
             for (BatchSlot &slot : batch) {
                 const std::string &fp = fingerprints[slot.index];
-                bool resolved = poisoned_.count(fp) != 0;
-                int prior = 0;
-                if (resolutions) {
-                    const auto it = resolutions->find(fp);
-                    if (it != resolutions->end()) {
-                        resolved = resolved
-                            || it->second.resolved(
-                                options_.maxJobAttempts);
-                        prior = it->second.priorAttempts(
-                            options_.maxJobAttempts);
-                    }
-                } else {
-                    resolved = resolved || done.count(fp) != 0;
-                    prior = priorFailedAttempts(
-                        merged, fp, options_.maxJobAttempts);
-                }
-                if (resolved) {
+                const auto it = resolutions.find(fp);
+                if (poisoned_.count(fp)
+                    || (it != resolutions.end()
+                        && it->second.resolved(
+                            options_.maxJobAttempts))) {
                     slot.claim.release();
                     continue;
                 }
-                slot.priorAttempts = prior;
+                slot.priorAttempts = it != resolutions.end()
+                    ? it->second.priorAttempts()
+                    : 0;
                 live.push_back(std::move(slot));
             }
             batch = std::move(live);

@@ -8,8 +8,8 @@
  * parsed and fingerprinted once, re-expanded only when sweep.json
  * actually changes), brings its incremental merged-record view up to
  * date (StoreTailReader: per-file byte cursors, only appended lines
- * parsed; a full loadMergedRecords rescan is the fallback after
- * compaction or any cursor invalidation), and walks the
+ * parsed; a full rescan is the fallback after compaction or any
+ * cursor invalidation), and walks the
  * still-unrecorded jobs in a worker-specific rotation (so a fleet
  * doesn't stampede the same claim file). It claims up to `claimBatch`
  * jobs per pass (WorkClaim) and runs them back to back under one
@@ -34,13 +34,13 @@
  * job is quarantined as *poison* — a failed=true record is appended
  * so the sweep can drain around a defective spec instead of wedging
  * or killing the fleet. The budget is **fleet-wide**: failed records
- * persist the attempt count they account for, the merged views
- * accumulate counts across workers' records, and every worker treats
- * a job as poison-resolved once the *cumulative* attempts reach its
- * own maxJobAttempts — so a defective spec costs at most
- * maxJobAttempts attempts across the whole fleet, not that many per
- * worker. A worker claiming a job with prior recorded failures only
- * spends the remaining budget.
+ * persist the attempt count they account for, the record fold
+ * (JobResolution) sums counts across workers' records, and every
+ * worker treats a job as poison-resolved once the *cumulative*
+ * attempts reach its own maxJobAttempts — so a defective spec costs
+ * at most maxJobAttempts attempts across the whole fleet, not that
+ * many per worker. A worker claiming a job with prior recorded
+ * failures only spends the remaining budget.
  *
  * Liveness watchdog: the heartbeat thread stamps a batch-wide
  * monotonic progress tick (advanced whenever the running job's
@@ -129,14 +129,6 @@ struct WorkerOptions
      */
     int claimBatch = 8;
     /**
-     * Use the incremental tail-reader record view (O(appended bytes)
-     * per scan) instead of a full merged load per round. The drain
-     * decision is always confirmed by a full load either way; false
-     * exists for the dist_throughput bench's O(N)-rescan baseline and
-     * as an escape hatch.
-     */
-    bool incrementalScan = true;
-    /**
      * Roll (seal) this worker's private shard into a `tiers/` L0 file
      * once it exceeds this many bytes, then fold tiers `tierFanout`-
      * to-1 (store_merge.h: rollShardToTier / maintainTiers). 0
@@ -196,25 +188,6 @@ struct WorkerOptions
 std::int64_t jitteredPollMs(std::int64_t pollMs,
                             const std::string &workerId);
 
-/**
- * Fingerprints with a *resolving* record: completed, or failed with
- * the cumulative fleet-wide attempt count at (or past)
- * `maxJobAttempts`. A failed record below the budget leaves the job
- * pending — another worker may still spend the remaining attempts. A
- * legacy failed record (attempts == 0) reads as budget-exhausted.
- * Shared by the worker's drain confirmation and the supervisor's
- * drained check.
- */
-std::set<std::string>
-resolvedFingerprints(const std::vector<JobResult> &records,
-                     int maxJobAttempts);
-
-/** Cumulative recorded failed attempts for one fingerprint in a
- * deduped record view (0 when it has no failed record). */
-int priorFailedAttempts(const std::vector<JobResult> &records,
-                        const std::string &fingerprint,
-                        int maxJobAttempts);
-
 /** What one run() accomplished. */
 struct WorkerReport
 {
@@ -256,9 +229,9 @@ struct WorkerReport
     std::size_t scanRounds = 0;
     /** WorkClaim::tryAcquire round-trips (successful or not). */
     std::size_t claimAttempts = 0;
-    /** Store bytes read building record views (incremental: tail
-     * appends consumed, plus full-load fallbacks; rescan mode: whole
-     * store per round). */
+    /** Store bytes read building record views: tail appends
+     * consumed (each store byte once, plus one full rescan per cursor
+     * invalidation) and the drain-confirming full loads. */
     std::uint64_t storeBytesRead = 0;
     /** Tail-reader cursor invalidations that forced a full rescan. */
     std::uint64_t fullRescans = 0;

@@ -88,8 +88,9 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
         store = std::make_unique<ResultStore>(resultStorePath());
         if (config_.resume)
             // A reused run directory may hold duplicate records for a
-            // fingerprint; the dedup pass keeps the newest complete
-            // one (warning once), so the skip decision is well-defined.
+            // fingerprint; the dedup pass keeps one by the record
+            // resolution rule (warning once), so the skip decision is
+            // well-defined.
             for (JobResult &record :
                  dedupeByFingerprint(store->load()))
                 if (record.completed)

@@ -5,12 +5,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
-#include <set>
-#include <sstream>
 #include <stdexcept>
+#include <tuple>
 
+#include "common/crc_line.h"
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -42,42 +43,16 @@ quarantineStoreLine(const std::string &storePath,
                     std::size_t lineNumber, const std::string &line,
                     const std::string &reason)
 {
-    static std::mutex mutex;
-    static std::set<std::string> seen;
-    const std::string key = storePath + ":"
-        + std::to_string(lineNumber) + ":" + crc32Hex(line);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!seen.insert(key).second)
-            return;
-    }
-    std::fprintf(stderr,
-                 "treevqa: quarantining corrupt record %s:%zu (%s)\n",
-                 storePath.c_str(), lineNumber, reason.c_str());
-    try {
-        const std::filesystem::path dir = quarantineDirFor(storePath);
-        std::filesystem::create_directories(dir);
-        JsonValue envelope = JsonValue::object();
-        envelope.set("source", JsonValue(storePath));
-        envelope.set("line",
-                     JsonValue(static_cast<std::int64_t>(lineNumber)));
-        envelope.set("reason", JsonValue(reason));
-        envelope.set("data", JsonValue(line));
-        appendTextDurable(
-            (dir
-             / std::filesystem::path(storePath).filename())
+    const std::filesystem::path store(storePath);
+    if (!quarantineLineOnce(
+            storePath,
+            (std::filesystem::path(quarantineDirFor(storePath))
+             / store.filename())
                 .string(),
-            envelope.dump() + "\n");
-    } catch (const std::exception &e) {
-        std::fprintf(stderr,
-                     "treevqa: quarantine of %s:%zu failed (%s)\n",
-                     storePath.c_str(), lineNumber, e.what());
-    }
+            lineNumber, line, reason))
+        return;
     JsonValue detail = JsonValue::object();
-    detail.set("source",
-               JsonValue(std::filesystem::path(storePath)
-                             .filename()
-                             .string()));
+    detail.set("source", JsonValue(store.filename().string()));
     detail.set("line",
                JsonValue(static_cast<std::int64_t>(lineNumber)));
     detail.set("reason", JsonValue(reason));
@@ -89,38 +64,28 @@ StoredLineStatus
 decodeStoredLine(const std::string &line, JobResult &record,
                  std::string *reason)
 {
-    const auto reject = [&](const std::string &why) {
-        if (reason)
-            *reason = why;
-    };
     JsonValue json;
-    try {
-        json = JsonValue::parse(line);
-    } catch (const std::exception &e) {
-        // Most likely the torn final line of a killed writer; resume
-        // re-runs that job from its checkpoint.
-        reject(std::string("unparseable: ") + e.what());
+    switch (decodeCrcJson(line, json, reason)) {
+    case CrcStatus::Ok:
+        break;
+    case CrcStatus::Unparseable:
         return StoredLineStatus::ParseFailure;
-    }
-    if (json.isObject() && json.contains("crc")) {
-        const std::string expected = json.at("crc").asString();
-        json.erase("crc");
-        if (crc32Hex(json.dump()) != expected) {
-            reject("crc mismatch");
-            return StoredLineStatus::CrcMismatch;
-        }
+    case CrcStatus::CrcMismatch:
+        return StoredLineStatus::CrcMismatch;
     }
     try {
         record = jobResultFromJson(json);
     } catch (const std::exception &e) {
-        reject(std::string("invalid record: ") + e.what());
+        if (reason)
+            *reason = std::string("invalid record: ") + e.what();
         return StoredLineStatus::ParseFailure;
     }
     // A record whose stored fingerprint contradicts its own spec was
     // corrupted (or forged) in a way the CRC cannot see when the whole
     // line was rewritten consistently.
     if (record.fingerprint != scenarioFingerprint(record.spec)) {
-        reject("fingerprint does not match spec");
+        if (reason)
+            *reason = "fingerprint does not match spec";
         return StoredLineStatus::FingerprintMismatch;
     }
     return StoredLineStatus::Ok;
@@ -188,8 +153,15 @@ jobResultFromJson(const JsonValue &json)
         result.errorMessage = v.asString();
     });
     jsonMaybe(json, "attempts", [&](const JsonValue &v) {
-        result.attempts = static_cast<int>(v.asInt());
+        const std::int64_t attempts = v.asInt();
+        if (attempts > std::numeric_limits<int>::max())
+            throw std::runtime_error("attempts out of range");
+        result.attempts = static_cast<int>(attempts);
     });
+    // Every failure record accounts for at least the attempt that
+    // wrote it; the fleet budget sums these counts.
+    if (result.failed && result.attempts < 1)
+        throw std::runtime_error("failed record with attempts < 1");
     jsonMaybe(json, "timedOut", [&](const JsonValue &v) {
         result.timedOut = v.asBool();
     });
@@ -216,12 +188,7 @@ ResultStore::ResultStore(std::string path) : path_(std::move(path)) {}
 std::string
 jobResultToStoredLine(const JobResult &result)
 {
-    JsonValue record = jobResultToJson(result);
-    // The CRC covers the serialization *without* the crc member; the
-    // member is appended last, so erasing it at load time restores
-    // the exact checksummed bytes (JsonValue preserves member order).
-    record.set("crc", JsonValue(crc32Hex(record.dump())));
-    return record.dump();
+    return crcStampedLine(jobResultToJson(result));
 }
 
 std::vector<JobResult>
@@ -229,26 +196,14 @@ ResultStore::load(StoreLoadStats *stats) const
 {
     std::vector<JobResult> records;
     StoreLoadStats local;
-    std::string text;
-    if (!readTextFile(path_, text)) {
-        if (stats)
-            *stats = local;
-        return records;
-    }
-    std::istringstream in(text);
-    std::string line;
-    std::size_t line_number = 0;
-    while (std::getline(in, line)) {
-        ++line_number;
-        if (line.empty())
-            continue;
+    const auto decode = [&](std::size_t number, const std::string &line) {
         JobResult record;
         std::string reason;
         switch (decodeStoredLine(line, record, &reason)) {
         case StoredLineStatus::Ok:
             ++local.records;
             records.push_back(std::move(record));
-            continue;
+            return;
         case StoredLineStatus::ParseFailure:
             ++local.parseFailures;
             break;
@@ -259,8 +214,12 @@ ResultStore::load(StoreLoadStats *stats) const
             ++local.fingerprintMismatches;
             break;
         }
-        quarantineStoreLine(path_, line_number, line, reason);
-    }
+        quarantineStoreLine(path_, number, line, reason);
+    };
+    std::string text;
+    std::size_t line_number = 0;
+    if (readTextFile(path_, text))
+        forEachLine(text, line_number, /*completeOnly=*/false, decode);
     if (stats)
         *stats = local;
     return records;
@@ -282,51 +241,82 @@ ResultStore::append(const JobResult &result)
     appendTextDurable(path_, line);
 }
 
+namespace {
+
+/** A record's survivor key: class (complete > failed > partial), then
+ * iterations, then error message. */
+std::tuple<int, int, const std::string &>
+survivorKey(bool completed, bool failed, int iterations,
+            const std::string &errorMessage)
+{
+    return {completed ? 2 : failed ? 1 : 0, iterations, errorMessage};
+}
+
+std::tuple<int, int, const std::string &>
+survivorKey(const JobResult &r)
+{
+    return survivorKey(r.completed, r.failed, r.iterations,
+                       r.errorMessage);
+}
+
+} // namespace
+
+void
+JobResolution::fold(const JobResult &record)
+{
+    if (record.failed) {
+        attempts = record.attempts
+                > std::numeric_limits<int>::max() - attempts
+            ? std::numeric_limits<int>::max()
+            : attempts + record.attempts;
+        timedOut = timedOut || record.timedOut;
+    }
+    if (records++ > 0
+        && !(survivorKey(completed, failed, iterations, errorMessage)
+             < survivorKey(record)))
+        return;
+    completed = record.completed;
+    failed = record.failed && !record.completed;
+    iterations = record.iterations;
+    finalEnergy = record.finalEnergy;
+    shotsUsed = record.shotsUsed;
+    errorMessage = record.errorMessage;
+}
+
 std::vector<JobResult>
 dedupeByFingerprint(std::vector<JobResult> records,
                     bool warnOnDuplicates)
 {
-    // index of the kept record per fingerprint, in first-seen order.
+    // Survivors in first-seen order, with each fingerprint's fold.
     std::vector<JobResult> kept;
+    std::vector<JobResolution> folds;
     std::map<std::string, std::size_t> by_fingerprint;
-    std::set<std::string> warned;
     for (JobResult &record : records) {
         const auto [it, inserted] =
             by_fingerprint.emplace(record.fingerprint, kept.size());
         if (inserted) {
+            folds.emplace_back().fold(record);
             kept.push_back(std::move(record));
             continue;
         }
         JobResult &held = kept[it->second];
-        if (warnOnDuplicates
-            && warned.insert(record.fingerprint).second)
+        JobResolution &fold = folds[it->second];
+        if (warnOnDuplicates && fold.records == 1)
             std::fprintf(stderr,
                          "treevqa: duplicate records for job \"%s\" "
-                         "(fingerprint %s); keeping the newest "
-                         "complete one\n",
+                         "(fingerprint %s); keeping one by the record "
+                         "resolution rule\n",
                          record.spec.name.c_str(),
                          record.fingerprint.c_str());
-        // Fleet-wide poison accounting: when two workers each wrote a
-        // failed record for the same job, the surviving record carries
-        // the *sum* of their attempt counts (order-independent, so the
-        // merged view is deterministic) and a sticky timedOut flag. A
-        // legacy failed record (attempts == 0, written before attempt
-        // accounting) means budget-exhausted and dominates the sum.
-        const bool merge_failure_counts = record.failed && held.failed;
-        const int merged_attempts =
-            (record.attempts == 0 || held.attempts == 0)
-            ? 0
-            : record.attempts + held.attempts;
-        const bool merged_timed_out = record.timedOut || held.timedOut;
-        // Later = newer (append order); never replace a complete
-        // record with an incomplete one.
-        if (record.completed || !held.completed)
+        fold.fold(record);
+        if (survivorKey(held) < survivorKey(record))
             held = std::move(record);
-        if (merge_failure_counts && held.failed) {
-            held.attempts = merged_attempts;
-            held.timedOut = merged_timed_out;
-        }
     }
+    for (std::size_t i = 0; i < kept.size(); ++i)
+        if (kept[i].failed) {
+            kept[i].attempts = folds[i].attempts;
+            kept[i].timedOut = folds[i].timedOut;
+        }
     return kept;
 }
 

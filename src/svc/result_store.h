@@ -5,17 +5,17 @@
  *
  * Each completed job appends exactly one JSON object per line (spec +
  * fingerprint, energy trajectory, evaluation counts, wall time,
- * backend) carrying a trailing "crc" member — the CRC32 of the record
- * serialization without it — so a torn or corrupted line is
- * *detected*, never silently half-parsed. Lines are written under a
- * mutex through the durable append path (file_util: torn-line
- * sealing, EINTR retries, fsync), so a killed sweep loses at most the
- * line being written; load() quarantines any line that fails to
- * parse, fails its CRC, or whose stored fingerprint contradicts its
- * spec, copying it to `<dir>/quarantine/<store-file>` (once per
- * process) and skipping it — which together with the scheduler's
- * fingerprint skip makes the store the job-level resume ledger: a
- * quarantined record's job simply reruns.
+ * backend) stamped by the CRC line codec (common/crc_line.h), so a
+ * torn or corrupted line is *detected*, never silently half-parsed.
+ * Lines are written under a mutex through the durable append path
+ * (file_util: torn-line sealing, EINTR retries, fsync), so a killed
+ * sweep loses at most the line being written; load() quarantines any
+ * line that fails to parse, fails its CRC, or whose stored
+ * fingerprint contradicts its spec, copying it to
+ * `<dir>/quarantine/<store-file>` (once per process) and skipping it
+ * — which together with the scheduler's fingerprint skip makes the
+ * store the job-level resume ledger: a quarantined record's job
+ * simply reruns.
  *
  * Line *order* is completion order (nondeterministic under a
  * concurrent scheduler); record *content* is deterministic except for
@@ -27,6 +27,7 @@
 #ifndef TREEVQA_SVC_RESULT_STORE_H
 #define TREEVQA_SVC_RESULT_STORE_H
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -40,19 +41,20 @@ JsonValue jobResultToJson(const JobResult &result);
 JobResult jobResultFromJson(const JsonValue &json);
 
 /** The canonical stored line for a record: its JSON serialization
- * with the trailing "crc" member stamped in (no newline). Append and
- * compaction both write this form. */
+ * CRC-stamped (crcStampedLine, no newline). Append and compaction
+ * both write this form. */
 std::string jobResultToStoredLine(const JobResult &result);
 
-/** Verdict of validating one stored JSONL line (the full PR-6 chain:
- * JSON parse → CRC check → record decode → fingerprint-vs-spec).
+/** Verdict of validating one stored JSONL line (JSON parse → CRC
+ * check → record decode → fingerprint-vs-spec).
  * Shared by ResultStore::load and the incremental tail reader
  * (dist/store_tail.h) so both paths reject exactly the same lines. */
 enum class StoredLineStatus
 {
     Ok,
-    /** The line did not parse as JSON, or parsed but was not a valid
-     * record (missing/mistyped fields). */
+    /** The line did not parse as a CRC-stamped JSON object, or was
+     * not a valid record (missing/mistyped fields, or a failed record
+     * accounting for fewer than one attempt). */
     ParseFailure,
     /** The line's trailing "crc" member contradicted its content. */
     CrcMismatch,
@@ -68,15 +70,10 @@ StoredLineStatus decodeStoredLine(const std::string &line,
                                   JobResult &record,
                                   std::string *reason = nullptr);
 
-/**
- * Quarantine one corrupt store line: wrap it (with provenance and the
- * rejection reason) in a JSON envelope appended under
- * `quarantineDirFor(storePath)`. Best effort — a quarantine that
- * cannot be written must not turn a tolerated corruption into a crash
- * — and once per (store, line, content) per process, because scan
- * loops (full and incremental alike) revisit a corrupt line many
- * times over its lifetime.
- */
+/** Quarantine one corrupt store line under
+ * `quarantineDirFor(storePath)` through quarantineLineOnce (once per
+ * (store, line, content) per process, best effort), journaling a
+ * store.quarantine event the first time. */
 void quarantineStoreLine(const std::string &storePath,
                          std::size_t lineNumber,
                          const std::string &line,
@@ -130,21 +127,69 @@ class ResultStore
 std::string quarantineDirFor(const std::string &storePath);
 
 /**
- * Collapse duplicate-fingerprint records to one per job. Duplicates
- * arise when a run directory is reused with resume disabled, or when
- * per-worker store shards from a distributed sweep are merged after a
- * lease was reclaimed mid-job. Keeps the newest complete record per
- * fingerprint — records are in append order, so the last complete
- * occurrence wins; when none completed, the last occurrence wins —
- * and, with `warnOnDuplicates`, warns on stderr once per duplicated
- * fingerprint. Callers for whom overlap is expected (the merged
- * canonical+shard view of a distributed sweep after a standalone
- * merge) pass false to keep the warning meaningful for the case it
- * exists for: a genuinely reused run directory. The surviving records
- * keep first-occurrence order. When duplicates are all failed records
- * (each worker in a fleet writes its own), the survivor accumulates
- * their attempt counts — the substrate of the fleet-wide poison
- * budget (dist/worker_daemon.h) — and a sticky timedOut flag.
+ * The resolution of one job fingerprint: the single rule that decides,
+ * from every stored record of a job, whether the job is done. fold()
+ * is commutative and associative, so the verdict, the attempt count
+ * and the surviving record's scalars do not depend on the order
+ * records are read in — a worker's incremental tail view
+ * (dist/store_tail.h), a full merged load, a compaction and the status
+ * view all reach the same answer.
+ *
+ * - The surviving record: complete beats failed beats partial; within
+ *   a class, more iterations, then the larger error message, wins.
+ *   Records that tie on all three are the same job state (a job is a
+ *   pure function of its spec), so the survivor is order-free.
+ * - Failed records add their attempt counts (each at least 1 — the
+ *   decoder rejects anything else): the substrate of the fleet-wide
+ *   poison budget (dist/worker_daemon.h). timedOut is sticky.
+ *
+ * Carries only scalars, never the trajectory/parameter bodies, which
+ * is what lets a 10^6-job view fit in memory.
+ */
+struct JobResolution
+{
+    /** Records folded in. */
+    std::size_t records = 0;
+    /** The surviving record's class. */
+    bool completed = false;
+    bool failed = false;
+    /** Attempts summed over every failed record (saturating). */
+    int attempts = 0;
+    /** Some failed record was a hung-job timeout. */
+    bool timedOut = false;
+    /** Display scalars of the surviving record (status view). */
+    int iterations = 0;
+    double finalEnergy = 0.0;
+    std::uint64_t shotsUsed = 0;
+    std::string errorMessage;
+
+    /** Fold one decoded record in. */
+    void fold(const JobResult &record);
+
+    /** Failed attempts the history accounts for (0 once completed). */
+    int priorAttempts() const { return completed ? 0 : attempts; }
+
+    /** Completed, or failed with the cumulative attempts at or past
+     * `maxJobAttempts`. A failed job below the budget stays pending:
+     * another worker may still spend the remaining attempts. */
+    bool resolved(int maxJobAttempts) const
+    {
+        return completed || (failed && attempts >= maxJobAttempts);
+    }
+};
+
+/**
+ * Collapse duplicate-fingerprint records to one per job: the survivor
+ * JobResolution picks, carrying the fold's attempts and timedOut when
+ * it is a failed record. Duplicates arise when a run directory is
+ * reused with resume disabled, or when store shards of a distributed
+ * sweep overlap after a lease was reclaimed mid-job or a worker
+ * failed a job another also failed. With `warnOnDuplicates`, warns on
+ * stderr once per duplicated fingerprint; callers for whom overlap is
+ * expected (the merged canonical+shard view of a distributed sweep)
+ * pass false to keep the warning meaningful for the case it exists
+ * for: a genuinely reused run directory. Survivors keep
+ * first-occurrence order.
  */
 std::vector<JobResult>
 dedupeByFingerprint(std::vector<JobResult> records,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/crc_line.h"
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -83,9 +84,9 @@ checkpointPrevPath(const std::string &path)
 }
 
 /**
- * Durable checkpoint write: the CRC32 of the compact serialization is
- * stamped in as a trailing "crc" member (restore erases it and
- * re-dumps to verify — common/json.h erase contract), the previous
+ * Durable checkpoint write: the body is CRC-stamped by the line codec
+ * (common/crc_line.h; pretty-printed, which the stamp survives because
+ * restore re-dumps compactly to verify), the previous
  * checkpoint is rotated to `<path>.prev` as the last-good fallback,
  * and the new file lands via atomic tmp + rename, so a kill at any
  * instant leaves at least one valid generation on disk. Fault site
@@ -101,7 +102,7 @@ writeCheckpoint(const std::string &path, const JsonValue &checkpoint)
     TRACE_SPAN_TIMED("runner.checkpoint_write",
                      runnerMetrics().checkpointNs);
     JsonValue stamped = checkpoint;
-    stamped.set("crc", JsonValue(crc32Hex(stamped.dump())));
+    stampCrc(stamped);
     std::string body = stamped.dump(2) + "\n";
     if (const FaultHit hit = FAULT_POINT("checkpoint.write")) {
         if (hit.action == FaultAction::FailErrno)
@@ -130,15 +131,10 @@ tryRestoreFile(const std::string &path, const std::string &fingerprint,
     if (!readTextFile(path, text))
         return false;
     try {
-        JsonValue checkpoint = JsonValue::parse(text);
-        if (checkpoint.isObject() && checkpoint.contains("crc")) {
-            const std::string expected =
-                checkpoint.at("crc").asString();
-            checkpoint.erase("crc");
-            if (crc32Hex(checkpoint.dump()) != expected)
-                throw std::runtime_error("crc mismatch (torn or "
-                                         "corrupted write)");
-        }
+        JsonValue checkpoint;
+        std::string reason;
+        if (decodeCrcJson(text, checkpoint, &reason) != CrcStatus::Ok)
+            throw std::runtime_error(reason);
         if (checkpoint.at("version").asInt() != kCheckpointVersion)
             throw std::runtime_error("unsupported checkpoint version");
         if (checkpoint.at("fingerprint").asString() != fingerprint)

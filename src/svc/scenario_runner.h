@@ -62,11 +62,11 @@ struct JobResult
      * Failed attempts this record accounts for. Persisted on
      * failed=true records so the *fleet-wide* poison budget works: the
      * merged record view accumulates attempts across every worker's
-     * failure records (dedupeByFingerprint sums them), and any worker
-     * that observes >= its --max-job-attempts cumulative attempts
-     * skips the spec durably — one budget for the whole fleet, not
-     * one per worker. 0 on legacy failed records (written before
-     * attempt accounting), which read as budget-exhausted. */
+     * failure records (JobResolution sums them), and any worker that
+     * observes >= its --max-job-attempts cumulative attempts skips
+     * the spec durably — one budget for the whole fleet, not one per
+     * worker. At least 1 on every stored failed record (the decoder
+     * rejects anything less); 0 elsewhere. */
     int attempts = 0;
     /** True when this failure was a hung-job timeout (the watchdog
      * killed or abandoned the attempt because the lease kept renewing

@@ -4,11 +4,12 @@
  * StoreTailReader (torn-line handling, quarantine parity with the
  * full loader, cursor invalidation after compaction), the tiered
  * shard roll/fold pipeline, the stat-cached SweepIndex, and the
- * JobResolution fold that must mirror dedupeByFingerprint exactly.
+ * JobResolution record fold behind every resolved/pending verdict.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -365,38 +366,160 @@ TEST(SweepIndex, MissingSpecThrowsAndDuplicatesAreRejected)
 
 // ----------------------------------------------------- resolution fold
 
-TEST(JobResolution, FoldMirrorsDedupeSemantics)
+TEST(JobResolution, AccumulatesFailedAttemptsAcrossRecords)
 {
-    const int budget = 3;
+    const JobResult one = syntheticFailure("poison", 1.0, 1, true);
+    const JobResult two = syntheticFailure("poison", 1.0, 2);
 
-    // Failed attempts sum across workers; timedOut is sticky.
+    // Two failure records of the same job from different workers: the
+    // fleet-wide budget sees their *sum*, and timedOut is sticky.
     JobResolution r;
-    r.fold(syntheticFailure("x", 0.5, 1));
-    EXPECT_FALSE(r.resolved(budget));
-    EXPECT_EQ(r.priorAttempts(budget), 1);
-    r.fold(syntheticFailure("x", 0.5, 2, /*timed_out=*/true));
+    r.fold(one);
+    r.fold(two);
+    EXPECT_TRUE(r.failed);
     EXPECT_EQ(r.attempts, 3);
     EXPECT_TRUE(r.timedOut);
-    EXPECT_TRUE(r.resolved(budget));
+    // The deduplicated survivor carries the fold's count and flag.
+    auto deduped = dedupeByFingerprint({one, two});
+    ASSERT_EQ(deduped.size(), 1u);
+    EXPECT_TRUE(deduped[0].failed);
+    EXPECT_EQ(deduped[0].attempts, 3);
+    EXPECT_TRUE(deduped[0].timedOut);
 
-    // A legacy attempts == 0 record reads as budget-exhausted and
-    // dominates the sum.
-    JobResolution legacy;
-    legacy.fold(syntheticFailure("y", 0.5, 2));
-    legacy.fold(syntheticFailure("y", 0.5, 0));
-    EXPECT_EQ(legacy.attempts, 0);
-    EXPECT_EQ(legacy.priorAttempts(budget), budget);
-    EXPECT_TRUE(legacy.resolved(budget));
-
-    // A completed record dominates any failure history, in any order.
+    // A completed record supersedes the failure history outright.
+    const JobResult done = syntheticRecord("poison", 1.0);
     JobResolution wins;
-    wins.fold(syntheticFailure("z", 0.5, 2));
-    wins.fold(syntheticRecord("z", 0.5));
-    wins.fold(syntheticFailure("z", 0.5, 7));
+    wins.fold(one);
+    wins.fold(done);
+    wins.fold(two);
     EXPECT_TRUE(wins.completed);
     EXPECT_FALSE(wins.failed);
-    EXPECT_EQ(wins.priorAttempts(budget), 0);
-    EXPECT_TRUE(wins.resolved(budget));
+    EXPECT_EQ(wins.priorAttempts(), 0);
+    EXPECT_TRUE(wins.resolved(1000));
+    deduped = dedupeByFingerprint({one, done, two});
+    ASSERT_EQ(deduped.size(), 1u);
+    EXPECT_TRUE(deduped[0].completed);
+    EXPECT_FALSE(deduped[0].failed);
+}
+
+TEST(JobResolution, ResolvedHonorsTheFleetBudget)
+{
+    JobResolution done;
+    done.fold(syntheticRecord("done", 0.5));
+    JobResolution partial;
+    partial.fold(syntheticFailure("partial", 0.5, 2));
+    const JobResolution absent;
+
+    // Budget 3: two recorded attempts leave one to spend — the job is
+    // still pending fleet-wide.
+    EXPECT_TRUE(done.resolved(3));
+    EXPECT_FALSE(partial.resolved(3));
+    EXPECT_FALSE(absent.resolved(3));
+    // Budget 2: the partial failure is now spent too.
+    EXPECT_TRUE(partial.resolved(2));
+
+    EXPECT_EQ(partial.priorAttempts(), 2);
+    EXPECT_EQ(done.priorAttempts(), 0);
+    EXPECT_EQ(absent.priorAttempts(), 0);
+}
+
+TEST(JobResolution, VerdictAndSurvivorAreIndependentOfRecordOrder)
+{
+    // One job's mixed history: a completed record, two failed ones
+    // (one a watchdog timeout) and a halted partial. Every subset, in
+    // every order, must fold to one verdict, one attempt count and
+    // one summary — directly and through the deduplicated survivor.
+    JobResult halted = syntheticRecord("mixed", 0.7);
+    halted.completed = false;
+    halted.iterations = 2;
+    const std::vector<JobResult> history = {
+        syntheticRecord("mixed", 0.7),
+        syntheticFailure("mixed", 0.7, 1),
+        syntheticFailure("mixed", 0.7, 2, /*timed_out=*/true),
+        halted,
+    };
+    const int budgets[] = {1, 2, 3, 4};
+    for (unsigned mask = 1; mask < (1u << history.size()); ++mask) {
+        std::vector<std::size_t> order;
+        for (std::size_t i = 0; i < history.size(); ++i)
+            if (mask & (1u << i))
+                order.push_back(i);
+        std::string first;
+        do {
+            std::vector<JobResult> records;
+            JobResolution direct;
+            for (const std::size_t i : order) {
+                records.push_back(history[i]);
+                direct.fold(history[i]);
+            }
+            const std::vector<JobResult> deduped =
+                dedupeByFingerprint(records, false);
+            ASSERT_EQ(deduped.size(), 1u);
+            JobResolution survivor;
+            survivor.fold(deduped[0]);
+
+            std::string signature =
+                sweepSummaryJson(deduped).dump() + " prior="
+                + std::to_string(direct.priorAttempts());
+            for (const int budget : budgets) {
+                EXPECT_EQ(direct.resolved(budget),
+                          survivor.resolved(budget))
+                    << "mask " << mask << " budget " << budget;
+                signature += direct.resolved(budget) ? " R" : " P";
+            }
+            EXPECT_EQ(direct.priorAttempts(), survivor.priorAttempts())
+                << "mask " << mask;
+            if (first.empty())
+                first = signature;
+            EXPECT_EQ(signature, first) << "mask " << mask;
+        } while (std::next_permutation(order.begin(), order.end()));
+    }
+
+    // The case that used to disagree: a spent failure followed by a
+    // halted partial stays resolved under its budget.
+    JobResolution spent;
+    spent.fold(syntheticFailure("mixed", 0.7, 3));
+    spent.fold(halted);
+    EXPECT_TRUE(spent.resolved(3));
+    const std::vector<JobResult> deduped = dedupeByFingerprint(
+        {syntheticFailure("mixed", 0.7, 3), halted}, false);
+    ASSERT_EQ(deduped.size(), 1u);
+    EXPECT_TRUE(deduped[0].failed);
+    EXPECT_EQ(deduped[0].attempts, 3);
+}
+
+TEST(StoredLine, FailedRecordWithoutAttemptsIsQuarantined)
+{
+    // Every failed record accounts for the attempt that wrote it; a
+    // stored failure claiming fewer is malformed like any torn line.
+    const JobResult zero = syntheticFailure("zero", 0.5, 0);
+    const std::string line = jobResultToStoredLine(zero);
+    JobResult decoded;
+    std::string reason;
+    EXPECT_EQ(decodeStoredLine(line, decoded, &reason),
+              StoredLineStatus::ParseFailure);
+    EXPECT_NE(reason.find("attempts"), std::string::npos);
+    EXPECT_EQ(decodeStoredLine(jobResultToStoredLine(
+                                   syntheticFailure("one", 0.5, 1)),
+                               decoded),
+              StoredLineStatus::Ok);
+
+    const auto dir = scratchDir("zero_attempts");
+    const std::string shard = sweepShardPath(dir.string(), "w0");
+    std::filesystem::create_directories(sweepShardDir(dir.string()));
+    {
+        std::ofstream out(shard, std::ios::app);
+        out << line << "\n";
+    }
+    StoreLoadStats stats;
+    EXPECT_TRUE(ResultStore(shard).load(&stats).empty());
+    EXPECT_EQ(stats.parseFailures, 1u);
+    std::string quarantined;
+    ASSERT_TRUE(readTextFile(
+        (std::filesystem::path(quarantineDirFor(shard)) / "w0.jsonl")
+            .string(),
+        quarantined));
+    EXPECT_NE(quarantined.find("attempts < 1"), std::string::npos);
 }
 
 } // namespace

@@ -58,10 +58,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/crc_line.h"
 #include "common/file_util.h"
 #include "common/json.h"
 #include "dist/store_merge.h"
@@ -402,38 +402,28 @@ auditObservabilityDumps(const std::string &dir)
         }
     }
 
-    std::error_code ec;
-    fs::directory_iterator it(fs::path(dir) / "events", ec);
-    if (!ec)
-        for (const auto &entry : it) {
-            if (!entry.is_regular_file()
-                || entry.path().extension() != ".jsonl")
-                continue;
-            std::string text;
-            if (!readTextFile(entry.path().string(), text))
-                continue;
-            std::istringstream lines(text);
-            std::string line;
-            std::size_t lineno = 0, bad = 0, last_bad = 0;
-            while (std::getline(lines, line)) {
-                ++lineno;
-                if (line.empty())
-                    continue;
-                try {
-                    JsonValue::parse(line);
-                } catch (const std::exception &) {
-                    ++bad;
-                    last_bad = lineno;
-                }
-            }
-            const bool torn_tail_only = bad == 1
-                && last_bad == lineno && !text.empty()
-                && text.back() != '\n';
-            if (bad > 0 && !torn_tail_only)
-                complain("events/" + entry.path().filename().string()
-                         + ": " + std::to_string(bad)
-                         + " malformed line(s)");
-        }
+    for (const std::string &journal :
+         sortedJsonlFiles((fs::path(dir) / "events").string())) {
+        std::string text;
+        if (!readTextFile(journal, text))
+            continue;
+        std::size_t lines = 0, bad = 0, last_bad = 0;
+        forEachLine(text, lines, /*completeOnly=*/false,
+                    [&](std::size_t number, const std::string &line) {
+                        try {
+                            JsonValue::parse(line);
+                        } catch (const std::exception &) {
+                            ++bad;
+                            last_bad = number;
+                        }
+                    });
+        const bool torn_tail_only = bad == 1 && last_bad == lines
+            && !text.empty() && text.back() != '\n';
+        if (bad > 0 && !torn_tail_only)
+            complain("events/" + fs::path(journal).filename().string()
+                     + ": " + std::to_string(bad)
+                     + " malformed line(s)");
+    }
     return problems;
 }
 

@@ -257,15 +257,13 @@ printStatus(const std::vector<ScenarioSpec> &specs,
                               res->second.finalEnergy,
                               res->second.iterations);
         } else if (recorded) {
-            // A failure verdict: "poisoned" once the cumulative
-            // attempts reach the default fleet budget (attempts==0 is
-            // a legacy budget-exhausted record) — a default fleet
-            // skips the job durably; otherwise "timed-out" when the
-            // hung-job watchdog wrote it, else plain "failed", both
-            // still retryable.
+            // A failure verdict: "poisoned" once it resolves under the
+            // default fleet budget — a default fleet skips the job
+            // durably; otherwise "timed-out" when the hung-job
+            // watchdog wrote it, else plain "failed", both still
+            // retryable.
             const JobResolution &r = res->second;
-            const int default_budget = WorkerOptions{}.maxJobAttempts;
-            if (r.attempts == 0 || r.attempts >= default_budget) {
+            if (r.resolved(WorkerOptions{}.maxJobAttempts)) {
                 state = "poisoned";
                 ++poisoned;
             } else if (r.timedOut) {
