@@ -10,7 +10,7 @@
  * The HLC is the standard wall-clock/counter pair: a local tick takes
  * `max(now, lastWall)` and bumps the counter on an unchanged wall
  * millisecond; observing a remote stamp (a claim file written by
- * another worker, a health snapshot) merges it in, so any event that
+ * another worker, a telemetry file) merges it in, so any event that
  * causally follows a read of another process's stamp compares greater
  * — a lease handoff orders A's last renewal before B's reap even when
  * B's clock runs behind A's. Stamps carry an origin token unique per
@@ -21,7 +21,7 @@
  * journals are read).
  *
  * Journals are observability, not coordination — the same contract as
- * health snapshots and metrics dumps: emitting buffers in memory
+ * the per-incarnation telemetry files: emitting buffers in memory
  * (sub-microsecond; see bench `event_append`), flushing appends
  * durably via appendTextDurable with each line CRC-stamped, and a
  * flush failure (fault site "event.append") drops the batch instead

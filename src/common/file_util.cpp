@@ -14,10 +14,29 @@
 #include <unistd.h>
 
 #include "common/fault_injection.h"
+#include "common/metrics.h"
 
 namespace treevqa {
 
 namespace {
+
+/** The cost of durability, visible in `--metrics`: every fsync that
+ * reached the disk (file or directory) and every byte handed to
+ * write(2). */
+struct FileMetrics
+{
+    Counter &fsyncs;
+    Counter &bytesWritten;
+};
+
+FileMetrics &
+fileMetrics()
+{
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    static FileMetrics m{reg.counter("file.fsyncs"),
+                         reg.counter("file.bytes_written")};
+    return m;
+}
 
 /** Bounded exponential backoff for transient errnos: EINTR retries
  * immediately, the rest wait 1, 2, 4, ... ms up to six retries (~63 ms
@@ -82,6 +101,7 @@ writeFully(int fd, const std::string &path, const char *data,
         }
         written += static_cast<std::size_t>(n);
     }
+    fileMetrics().bytesWritten.inc(size);
 }
 
 /** fsync(2) with fault injection and transient backoff. */
@@ -98,8 +118,10 @@ fsyncRetry(const char *site, int fd, const std::string &path)
         } else {
             rc = ::fsync(fd);
         }
-        if (rc == 0)
+        if (rc == 0) {
+            fileMetrics().fsyncs.inc();
             return;
+        }
         if (!backoffRetry(errno, attempt))
             throwErrno("file: fsync of " + path + " failed", errno);
     }
@@ -312,8 +334,10 @@ fsyncDirectory(const std::string &dirPath)
         } else {
             rc = ::fsync(fd);
         }
-        if (rc == 0)
+        if (rc == 0) {
+            fileMetrics().fsyncs.inc();
             break;
+        }
         // Filesystems without directory fsync answer EINVAL/ENOTSUP;
         // durability there is whatever the mount offers.
         if (errno == EINVAL || errno == ENOTSUP || errno == EBADF)

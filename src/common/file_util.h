@@ -16,6 +16,9 @@
  * (common/fault_injection.h): `file.read`, `file.write_atomic.stage`,
  * `file.write_atomic.fsync`, `file.write_atomic.rename`,
  * `file.write_atomic.dirsync`, `file.create_exclusive`, `file.append`.
+ * They also count what durability costs in the metrics registry:
+ * `file.fsyncs` (file and directory fsyncs that succeeded) and
+ * `file.bytes_written`.
  *
  * All paths are plain std::string; errors surface as std::runtime_error
  * except where a boolean outcome is part of the protocol (a lost

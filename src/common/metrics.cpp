@@ -4,9 +4,6 @@
 #include <cmath>
 #include <filesystem>
 
-#include <unistd.h>
-
-#include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "svc/sweep_dir.h"
 
@@ -236,39 +233,6 @@ MetricsRegistry::reset()
         hist->reset();
 }
 
-bool
-writeMetricsSnapshot(const std::string &sweepDir,
-                     const std::string &id,
-                     const std::string &fileToken)
-{
-    try {
-        const FaultHit fault = FAULT_POINT("metrics.write");
-        if (fault.err != 0)
-            return false;
-        std::error_code ec;
-        std::filesystem::create_directories(sweepMetricsDir(sweepDir),
-                                            ec);
-        JsonValue dump = JsonValue::object();
-        dump.set("schemaVersion", JsonValue(std::int64_t{1}));
-        dump.set("id", JsonValue(id));
-        dump.set("pid", JsonValue(static_cast<std::int64_t>(
-                            ::getpid())));
-        // Wall stamp of the dump: the aggregate's asOfMs is the max
-        // over these, which is what `--metrics --since` divides
-        // counter deltas by to get per-second rates.
-        dump.set("writtenMs", JsonValue(unixTimeMs()));
-        JsonValue snap =
-            MetricsRegistry::instance().snapshot().toJson();
-        for (auto &[key, value] : snap.asObject())
-            dump.set(key, std::move(value));
-        writeTextFileAtomic(sweepMetricsPath(sweepDir, fileToken),
-                            dump.dump(2) + "\n");
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
 std::vector<std::pair<std::string, JsonValue>>
 readMetricsDumps(const std::string &sweepDir)
 {
@@ -308,7 +272,7 @@ aggregateMetricsJson(
         try {
             merged.merge(MetricsSnapshot::fromJson(dump));
             sources.push_back(token);
-            jsonMaybe(dump, "writtenMs", [&](const JsonValue &v) {
+            jsonMaybe(dump, "updatedMs", [&](const JsonValue &v) {
                 as_of_ms = std::max(as_of_ms, v.asInt());
             });
         } catch (const std::exception &) {
@@ -320,7 +284,7 @@ aggregateMetricsJson(
     JsonValue out = JsonValue::object();
     out.set("schemaVersion", JsonValue(std::int64_t{1}));
     // Newest input dump's wall stamp (still a pure function of the
-    // dumps); 0 when every dump predates writtenMs stamping.
+    // dumps); 0 when no dump carries one.
     out.set("asOfMs", JsonValue(as_of_ms));
     out.set("processes", JsonValue(static_cast<std::uint64_t>(
                              sources.size())));

@@ -208,22 +208,10 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/**
- * Best-effort durable dump of the current registry state to
- * `<sweepDir>/metrics/<fileToken>.json`, stamped with `id` and the
- * writing pid. Never throws; returns false on I/O failure (fault
- * site "metrics.write"). Each process incarnation writes its own
- * file (`fileToken` should embed the pid) so a restarted worker
- * slot does not erase its predecessor's totals — the aggregate view
- * sums across incarnations.
- */
-bool writeMetricsSnapshot(const std::string &sweepDir,
-                          const std::string &id,
-                          const std::string &fileToken);
-
-/** Snapshot files under `<sweepDir>/metrics/`, sorted by filename;
- * unreadable/corrupt files are skipped. Each entry is (fileToken,
- * parsed dump). */
+/** The per-incarnation telemetry files under `<sweepDir>/metrics/`
+ * (each a registry snapshot beside its writer's health fields; see
+ * dist/health.h), sorted by filename; unreadable/corrupt files are
+ * skipped. Each entry is (fileToken, parsed dump). */
 std::vector<std::pair<std::string, JsonValue>>
 readMetricsDumps(const std::string &sweepDir);
 

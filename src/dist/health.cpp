@@ -8,6 +8,7 @@
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/metrics.h"
 #include "svc/sweep_dir.h"
 
 namespace treevqa {
@@ -35,8 +36,7 @@ healthToJson(const WorkerHealth &health)
     out.set("jobsTimedOut", JsonValue(health.jobsTimedOut));
     out.set("rssKb", JsonValue(health.rssKb));
     out.set("flushIntervalMs", JsonValue(health.flushIntervalMs));
-    if (!health.hlc.empty())
-        out.set("hlc", hlcToJson(health.hlc));
+    out.set("hlc", hlcToJson(health.hlc));
     return out;
 }
 
@@ -58,14 +58,8 @@ healthFromJson(const JsonValue &json)
     health.jobsFailed = json.at("jobsFailed").asInt();
     health.jobsTimedOut = json.at("jobsTimedOut").asInt();
     health.rssKb = json.at("rssKb").asInt();
-    // Added after the v0 snapshot schema: absent in snapshots written
-    // by older builds, so read leniently.
-    jsonMaybe(json, "flushIntervalMs", [&](const JsonValue &v) {
-        health.flushIntervalMs = v.asInt();
-    });
-    jsonMaybe(json, "hlc", [&](const JsonValue &v) {
-        health.hlc = hlcFromJson(v);
-    });
+    health.flushIntervalMs = json.at("flushIntervalMs").asInt();
+    health.hlc = hlcFromJson(json.at("hlc"));
     return health;
 }
 
@@ -88,7 +82,8 @@ currentRssKb()
 }
 
 bool
-writeHealthSnapshot(const std::string &sweepDir, WorkerHealth health)
+writeTelemetrySnapshot(const std::string &sweepDir, WorkerHealth health,
+                       const JsonValue &extra)
 {
     health.updatedMs = unixTimeMs();
     health.rssKb = currentRssKb();
@@ -97,9 +92,22 @@ writeHealthSnapshot(const std::string &sweepDir, WorkerHealth health)
         if (const FaultHit hit = FAULT_POINT("health.write"))
             if (hit.action == FaultAction::FailErrno)
                 return false; // monitoring must never kill the worker
-        std::filesystem::create_directories(sweepHealthDir(sweepDir));
-        writeTextFileAtomic(sweepHealthPath(sweepDir, health.id),
-                            healthToJson(health).dump(2) + "\n");
+        JsonValue out = healthToJson(health);
+        out.set("schemaVersion", JsonValue(std::int64_t{1}));
+        JsonValue snap =
+            MetricsRegistry::instance().snapshot().toJson();
+        for (auto &[key, value] : snap.asObject())
+            out.set(key, std::move(value));
+        if (extra.isObject())
+            for (const auto &[key, value] : extra.asObject())
+                out.set(key, value);
+        std::filesystem::create_directories(sweepMetricsDir(sweepDir));
+        // The pid in the name gives each incarnation its own file, so
+        // a restarted slot never erases its predecessor's totals.
+        writeTextFileAtomic(
+            sweepMetricsPath(sweepDir, health.id + "-p"
+                                           + std::to_string(health.pid)),
+            out.dump(2) + "\n");
         return true;
     } catch (const std::exception &) {
         return false;
@@ -110,32 +118,31 @@ std::vector<WorkerHealth>
 readHealthSnapshots(const std::string &sweepDir)
 {
     std::vector<WorkerHealth> snapshots;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(sweepHealthDir(sweepDir),
-                                           ec);
-    if (ec)
-        return snapshots;
-    for (const auto &entry : it) {
-        if (entry.path().extension() != ".json")
-            continue;
-        std::string text;
-        if (!readTextFile(entry.path().string(), text))
-            continue;
+    for (const auto &[token, dump] : readMetricsDumps(sweepDir)) {
+        WorkerHealth health;
         try {
-            WorkerHealth health =
-                healthFromJson(JsonValue::parse(text));
-            if (!health.hlc.empty())
-                HlcClock::instance().observe(health.hlc);
-            snapshots.push_back(std::move(health));
+            health = healthFromJson(dump);
         } catch (const std::exception &) {
-            // Torn snapshot: its writer's next beat replaces it.
+            continue; // not a health-bearing file
         }
+        HlcClock::instance().observe(health.hlc);
+        snapshots.push_back(std::move(health));
     }
+    // Newest incarnation per id last, then keep only that one.
     std::sort(snapshots.begin(), snapshots.end(),
               [](const WorkerHealth &a, const WorkerHealth &b) {
-                  return a.id < b.id;
+                  if (a.id != b.id)
+                      return a.id < b.id;
+                  if (a.startedMs != b.startedMs)
+                      return a.startedMs < b.startedMs;
+                  return a.pid < b.pid;
               });
-    return snapshots;
+    std::vector<WorkerHealth> newest;
+    for (std::size_t i = 0; i < snapshots.size(); ++i)
+        if (i + 1 == snapshots.size()
+            || snapshots[i + 1].id != snapshots[i].id)
+            newest.push_back(std::move(snapshots[i]));
+    return newest;
 }
 
 JsonValue
@@ -152,10 +159,8 @@ aggregateHealthJson(const std::vector<WorkerHealth> &snapshots,
             std::max<std::int64_t>(0, nowMs - h.updatedMs);
         // A snapshot older than 2× its writer's declared cadence
         // means the writer missed at least one beat: crashed, wedged,
-        // or SIGKILLed. Legacy snapshots (no cadence) can't be
-        // judged and are never flagged.
-        const bool stale = h.flushIntervalMs > 0
-            && stale_ms > 2 * h.flushIntervalMs;
+        // or SIGKILLed.
+        const bool stale = stale_ms > 2 * h.flushIntervalMs;
         JsonValue row = healthToJson(h);
         row.set("staleMs", JsonValue(stale_ms));
         row.set("staleSeconds",

@@ -3,19 +3,26 @@
  * Machine-readable fleet health surface.
  *
  * Every process working on a sweep — each worker daemon and the
- * supervisor — periodically writes an atomic JSON snapshot of its own
- * state to `<sweep>/health/<id>.json` (sweep_dir.h layout). Snapshots
- * are *observability, not coordination*: nothing in the claim/lease
- * protocol reads them, a missing or stale file never blocks progress,
- * and a write failure is tolerated (fault site "health.write"), so the
- * health surface cannot turn a monitoring hiccup into a sweep outage.
+ * supervisor — writes one telemetry file per process incarnation,
+ * `<sweep>/metrics/<id>-p<pid>.json` (sweep_dir.h layout): its health
+ * fields beside its metrics registry snapshot, in one atomic write.
+ * A worker writes it on each heartbeat beat, after each job's record
+ * append, and when it turns idle, draining or stopped; per-job
+ * "running"/attempt transitions only update memory and reach disk
+ * with the next beat. The files are *observability, not
+ * coordination*: nothing in the claim/lease protocol reads them, a
+ * missing or stale file never blocks progress, and a write failure
+ * is tolerated (fault site "health.write"), so the health surface
+ * cannot turn a monitoring hiccup into a sweep outage.
  *
- * `treevqa_run --health <dir>` aggregates the per-process snapshots
- * into one fleet view (aggregateHealthJson): per-worker rows sorted by
- * id with wall-clock staleness, plus fleet totals of jobs completed /
- * failed / timed out. Staleness is the reader's problem by design —
- * writers stamp `updatedMs` and the aggregator subtracts, so a crashed
- * worker shows up as a growing `staleMs`, not as absence of evidence.
+ * `treevqa_run --health <dir>` reads the newest incarnation of each
+ * id and aggregates them into one fleet view (aggregateHealthJson):
+ * per-process rows sorted by id with wall-clock staleness, plus fleet
+ * totals of jobs completed / failed / timed out. Staleness is the
+ * reader's problem by design — writers stamp `updatedMs` and the
+ * aggregator subtracts, so a crashed worker shows up as a growing
+ * `staleMs`, not as absence of evidence. `treevqa_run --metrics`
+ * reads the same files and sums every incarnation.
  */
 
 #ifndef TREEVQA_DIST_HEALTH_H
@@ -64,12 +71,11 @@ struct WorkerHealth
     /** The writer's declared snapshot cadence in ms; lets the
      * aggregator flag a snapshot older than 2× the cadence as stale
      * (a crashed or wedged writer) instead of leaving staleness
-     * interpretation to the reader. 0 = unknown (legacy snapshot). */
+     * interpretation to the reader. */
     std::int64_t flushIntervalMs = 0;
     /** The writer's hybrid-logical-clock stamp at the write
      * (common/event_log.h); readers observe() it so cross-process
-     * views order causally, not by skewed wall clocks. Empty on
-     * snapshots written before HLC stamping. */
+     * views order causally, not by skewed wall clocks. */
     Hlc hlc;
 };
 
@@ -81,17 +87,23 @@ WorkerHealth healthFromJson(const JsonValue &json);
 std::int64_t currentRssKb();
 
 /**
- * Atomically write `health` to `<sweepDir>/health/<id>.json`, stamping
- * `updatedMs` (now) and `rssKb` (currentRssKb) into the snapshot
- * first. Best effort: returns false — never throws — when the write
- * fails (fault site "health.write" fail-errno, unwritable directory).
+ * Atomically write this process incarnation's telemetry file,
+ * `<sweepDir>/metrics/<id>-p<pid>.json`: the fields of `health`
+ * (stamped with `updatedMs` = now, `rssKb` and an HLC tick), the
+ * metrics registry snapshot, and every member of `extra` (an object,
+ * e.g. the supervisor's slot table; null = none). Best effort:
+ * returns false — never throws — when the write fails (fault site
+ * "health.write" fail-errno, unwritable directory).
  */
-bool writeHealthSnapshot(const std::string &sweepDir,
-                         WorkerHealth health);
+bool writeTelemetrySnapshot(const std::string &sweepDir,
+                            WorkerHealth health,
+                            const JsonValue &extra = JsonValue());
 
-/** Read every parseable snapshot under `<sweepDir>/health/`, sorted by
- * id. Unparseable files are skipped (a torn snapshot will be
- * overwritten by its writer's next beat). */
+/** The health rows of the telemetry files under `<sweepDir>/metrics/`,
+ * one per id — the newest incarnation (largest `startedMs`, then
+ * `pid`), so a restarted slot shows once — sorted by id. Unparseable
+ * files are skipped (a torn file is replaced by its writer's next
+ * write). */
 std::vector<WorkerHealth> readHealthSnapshots(const std::string &sweepDir);
 
 /**

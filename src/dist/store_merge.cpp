@@ -222,13 +222,13 @@ quarantineShard(const std::string &shardPath)
  * contract (see compactSweepStore). */
 void
 retireInputs(const std::vector<StoreInput> &inputs,
-             bool removeMerged, SweepMergeStats &stats)
+             SweepMergeStats &stats)
 {
     for (const StoreInput &input : inputs) {
         if (input.stats.corrupt() > 0) {
             if (quarantineShard(input.path))
                 ++stats.quarantinedShards;
-        } else if (removeMerged) {
+        } else {
             std::remove(input.path.c_str());
         }
     }
@@ -276,12 +276,18 @@ compactSweepStore(const std::string &sweepDir,
         return stats;
     }
 
-    std::string store;
-    for (const JobResult &record : records) {
-        store += jobResultToStoredLine(record);
-        store += '\n';
+    // Kept inputs leave every record file untouched: the fold sums
+    // failed attempts, so a canonical store holding that sum beside
+    // the shards' original records would be counted again by every
+    // later load. Only the derived summary is written.
+    if (removeMergedShards) {
+        std::string store;
+        for (const JobResult &record : records) {
+            store += jobResultToStoredLine(record);
+            store += '\n';
+        }
+        writeTextFileAtomic(sweepStorePath(sweepDir), store);
     }
-    writeTextFileAtomic(sweepStorePath(sweepDir), store);
     writeTextFileAtomic(sweepSummaryPath(sweepDir),
                         sweepSummaryJson(records).dump(2) + "\n");
 
@@ -289,11 +295,12 @@ compactSweepStore(const std::string &sweepDir,
     // header): in a drained sweep every record they could still
     // receive is a deterministic duplicate of one already compacted,
     // so removal after the store is durably in place loses nothing. A
-    // file that failed validation is quarantined instead of deleted,
-    // whatever the caller asked for — corrupt bytes are evidence, not
-    // waste.
-    retireInputs(shards, removeMergedShards, stats);
-    retireInputs(tiers, removeMergedShards, stats);
+    // file that failed validation is quarantined instead of deleted —
+    // corrupt bytes are evidence, not waste.
+    if (removeMergedShards) {
+        retireInputs(shards, stats);
+        retireInputs(tiers, stats);
+    }
     {
         JsonValue detail = JsonValue::object();
         detail.set("inputRecords",

@@ -29,8 +29,9 @@
  * (bounded), and compaction never writes the store from one. Shard/tier
  * *deletion* by compaction is the one step that needs a precondition:
  * it is only safe once the sweep is drained (no worker can still
- * append), so only the drained-worker path requests it — a standalone
- * merge over a live fleet folds the files without removing them.
+ * append), so only the drained-worker path compacts — a standalone
+ * merge over a live fleet writes the summary and touches no record
+ * file.
  */
 
 #ifndef TREEVQA_DIST_STORE_MERGE_H
@@ -52,9 +53,9 @@ struct SweepMergeStats
     std::size_t inputRecords = 0;
     /** Records surviving fingerprint deduplication. */
     std::size_t uniqueRecords = 0;
-    /** Worker shard files merged (and, when requested, removed). */
+    /** Worker shard files folded (and, when compacting, removed). */
     std::size_t shardFiles = 0;
-    /** Sealed tier files merged (and, when requested, removed). */
+    /** Sealed tier files folded (and, when compacting, removed). */
     std::size_t tierFiles = 0;
     /** Lines that failed validation (torn, CRC or fingerprint
      * mismatch) across the canonical store, tiers and shards. */
@@ -91,25 +92,27 @@ loadMergedRecords(const std::string &sweepDir,
                   std::size_t *corruptLines = nullptr);
 
 /**
- * Merge tiers and shards into the canonical store: atomically rewrite
- * `results.jsonl` with the deduplicated name-sorted record set and
- * write the deterministic `summary.json`.
+ * Fold the canonical store, tiers and shards and write the
+ * deterministic `summary.json` of the deduplicated record set.
  *
- * `removeMergedShards` deletes the shard and tier files afterwards;
- * pass true only when the sweep is provably drained (every job
- * recorded — the worker daemon's merge-on-drain path), because a live
- * worker could otherwise append a completed job's record to a shard
- * between our load and its deletion, losing that record. With false
- * (the `--merge-only` CLI), they are folded in but left for the
- * draining fleet to retire.
+ * `removeMergedShards` also compacts: it atomically rewrites
+ * `results.jsonl` with the name-sorted record set, then deletes the
+ * shard and tier files. Pass true only when the sweep is provably
+ * drained (every job recorded — the worker daemon's merge-on-drain
+ * path), because a live worker could otherwise append a completed
+ * job's record to a shard between our load and its deletion, losing
+ * that record. With false (the `--merge-only` CLI) only the summary
+ * is written and every record file is left untouched: the fold sums
+ * failed attempts, so writing that sum into the canonical store while
+ * the shards keep their original records would count them twice.
  *
  * When every load pass raced a peer that moved inputs away (see
  * SweepMergeStats::raced), nothing is written or retired.
  *
  * A shard or tier containing any line that fails validation is never
- * deleted: it is renamed into `<dir>/quarantine/` (counted in
- * quarantinedShards) so the corrupt evidence survives compaction. The
- * `--merge-only` CLI exits non-zero when corruptLines > 0.
+ * deleted by a compaction: it is renamed into `<dir>/quarantine/`
+ * (counted in quarantinedShards) so the corrupt evidence survives.
+ * The `--merge-only` CLI exits non-zero when corruptLines > 0.
  */
 SweepMergeStats compactSweepStore(const std::string &sweepDir,
                                   bool removeMergedShards);

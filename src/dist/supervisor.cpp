@@ -598,32 +598,16 @@ Supervisor::publishSupervisorHealth(const std::string &state)
     h.role = "supervisor";
     h.state = state;
     h.startedMs = startedUnixMs_;
-    h.updatedMs = unixTimeMs();
     h.jobsFailed = static_cast<std::int64_t>(report_.crashes);
     h.jobsTimedOut = static_cast<std::int64_t>(report_.watchdogKills);
-    h.rssKb = currentRssKb();
     h.flushIntervalMs = options_.healthIntervalMs;
-    h.hlc = HlcClock::instance().tick();
-    JsonValue out = healthToJson(h);
-    out.set("slots", slotsJson());
-    out.set("drained", JsonValue(report_.drained));
-    out.set("retiredSlots",
-            JsonValue(static_cast<std::uint64_t>(
-                report_.retiredSlots.size())));
-    try {
-        if (const FaultHit hit = FAULT_POINT("health.write"))
-            if (hit.action == FaultAction::FailErrno)
-                return; // observability is best-effort by contract
-        std::filesystem::create_directories(
-            sweepHealthDir(options_.sweepDir));
-        writeTextFileAtomic(
-            sweepHealthPath(options_.sweepDir, "supervisor"),
-            out.dump(2) + "\n");
-    } catch (const std::exception &) {
-    }
-    writeMetricsSnapshot(options_.sweepDir, "supervisor",
-                         "supervisor-p"
-                             + std::to_string(::getpid()));
+    JsonValue extra = JsonValue::object();
+    extra.set("slots", slotsJson());
+    extra.set("drained", JsonValue(report_.drained));
+    extra.set("retiredSlots",
+              JsonValue(static_cast<std::uint64_t>(
+                  report_.retiredSlots.size())));
+    writeTelemetrySnapshot(options_.sweepDir, std::move(h), extra);
     TraceRecorder::instance().maybePeriodicFlush(2000);
     EventLog::instance().flush();
 }
@@ -635,7 +619,6 @@ Supervisor::run()
     std::filesystem::create_directories(sweepClaimDir(dir));
     std::filesystem::create_directories(sweepCheckpointDir(dir));
     std::filesystem::create_directories(sweepShardDir(dir));
-    std::filesystem::create_directories(sweepHealthDir(dir));
     if (options_.redirectChildLogs)
         std::filesystem::create_directories(sweepLogDir(dir));
     EventLog::instance().open(dir, "supervisor");

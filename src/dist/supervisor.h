@@ -37,9 +37,10 @@
  *    for them to seal their in-flight checkpoints and exit, then
  *    SIGKILLs stragglers. The same cascade runs when the sweep drains
  *    while daemon-mode children keep polling.
- *  - **Health.** `<dir>/health/supervisor.json` (dist/health.h
- *    schema plus a `slots` array) is rewritten atomically every
- *    healthIntervalMs.
+ *  - **Health.** The supervisor's telemetry file,
+ *    `<dir>/metrics/supervisor-p<pid>.json` (dist/health.h fields
+ *    plus a `slots` array, beside its metrics snapshot), is rewritten
+ *    atomically every healthIntervalMs.
  *
  * Fault site "supervisor.spawn": the fork is skipped as if it failed
  * (EAGAIN), exercising the backoff/restart path without a real fork
@@ -105,7 +106,7 @@ struct SupervisorOptions
     /** Compact shards into the canonical store once drained (the
      * children usually already did; compaction is idempotent). */
     bool mergeOnDrain = true;
-    /** supervisor.json refresh cadence. */
+    /** Telemetry-file refresh cadence. */
     std::int64_t healthIntervalMs = 500;
 };
 

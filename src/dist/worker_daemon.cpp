@@ -151,10 +151,18 @@ WorkerDaemon::WorkerDaemon(WorkerOptions options)
     health_.startedMs = unixTimeMs();
     // Declared snapshot cadence (--health staleness detection): the
     // slower of the idle poll and the heartbeat interval, since both
-    // paths republish the snapshot.
+    // paths rewrite the telemetry file (job completions only add
+    // writes).
     health_.flushIntervalMs = std::max(
         jitteredPollMs(options_.pollMs, options_.workerId),
         std::clamp<std::int64_t>(options_.leaseMs / 3, 5, 5000));
+}
+
+void
+WorkerDaemon::updateHealth(const std::function<void(WorkerHealth &)> &fn)
+{
+    std::lock_guard<std::mutex> lock(healthMutex_);
+    fn(health_);
 }
 
 void
@@ -164,20 +172,17 @@ WorkerDaemon::publishHealth(
     if (!options_.healthSnapshots)
         return;
     {
+        // Held across the write, so a beat and a completion land on
+        // disk in the order their states were made.
         std::lock_guard<std::mutex> lock(healthMutex_);
         fn(health_);
-        writeHealthSnapshot(options_.sweepDir, health_);
+        writeTelemetrySnapshot(options_.sweepDir, health_);
     }
-    // Metrics ride the health cadence; the per-pid file token keeps a
-    // restarted slot from erasing its predecessor's totals.
-    writeMetricsSnapshot(options_.sweepDir, options_.workerId,
-                         options_.workerId + "-p"
-                             + std::to_string(::getpid()));
     // Keep the flight recorder's on-disk dump recent enough that a
     // SIGKILL mid-batch still leaves a useful tail behind.
     TraceRecorder::instance().maybePeriodicFlush(2000);
-    // Same contract for the event journal: ride the health cadence so
-    // an unflushed process loses at most one heartbeat's events.
+    // Same contract for the event journal: ride the telemetry cadence
+    // so an unflushed process loses at most one beat's events.
     EventLog::instance().flush();
 }
 
@@ -588,7 +593,9 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         run_options.progressCounter = &progress_counter;
         run_options.shouldStop = [this] { return stop_.load(); };
 
-        publishHealth([&](WorkerHealth &h) {
+        // In memory only: the next heartbeat beat writes it, so a job
+        // longer than one beat shows as running on disk.
+        updateHealth([&](WorkerHealth &h) {
             h.state = "running";
             h.jobFingerprint = fingerprint;
             h.jobName = spec.name;
@@ -629,7 +636,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             if (slot_lost(slot) || hb_timed_out.load())
                 break; // lease gone or watchdog fired: stop burning
             ++attempts_made;
-            publishHealth(
+            updateHealth(
                 [&](WorkerHealth &h) { h.jobAttempt = attempt; });
             try {
                 if (const FaultHit hit = FAULT_POINT("worker.job"))

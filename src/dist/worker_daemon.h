@@ -53,9 +53,13 @@
  * out. The fleet supervisor (dist/supervisor.h) watches the same
  * progress stamps from outside and SIGKILLs the wedged process.
  *
- * Each worker also publishes an atomic health snapshot
- * (`<dir>/health/<id>.json`, dist/health.h) every heartbeat and state
- * transition — pure observability, never read by the protocol.
+ * Each worker also writes one telemetry file per process incarnation
+ * (`<dir>/metrics/<id>-p<pid>.json`, dist/health.h: health fields
+ * beside the metrics snapshot) on every heartbeat beat, after every
+ * job's record append, and when it turns idle, draining or stopped.
+ * The per-job "running" and attempt transitions only update the
+ * in-memory snapshot, which the next beat writes — pure
+ * observability, never read by the protocol.
  *
  * Determinism: jobs are pure functions of their specs, so any worker
  * count, any claim batch size, any roll/fold schedule and any kill
@@ -161,9 +165,9 @@ struct WorkerOptions
      * (dist/supervisor.h).
      */
     std::int64_t jobTimeoutMs = 0;
-    /** Publish per-process health snapshots to `<dir>/health/`
-     * (dist/health.h). Off only for benchmarks that measure the loop
-     * itself. */
+    /** Write the per-incarnation telemetry file under
+     * `<dir>/metrics/` (dist/health.h). Off only for benchmarks that
+     * measure the loop itself. */
     bool healthSnapshots = true;
     /**
      * Replace runScenario as the job body (benchmarks: synthetic
@@ -321,8 +325,12 @@ class WorkerDaemon
     /** Append `record` to this worker's shard and roll/fold when past
      * the size threshold. */
     void appendToShard(const JobResult &record, WorkerReport &report);
-    /** Mutate the health snapshot under its lock and publish it
-     * (best-effort; no-op when healthSnapshots is off). */
+    /** Mutate the in-memory health snapshot under its lock; the next
+     * publishHealth (beat, completion or idle) writes it. */
+    void updateHealth(const std::function<void(WorkerHealth &)> &fn);
+    /** updateHealth, then write the telemetry file and flush the
+     * event journal (best-effort; no-op when healthSnapshots is
+     * off). */
     void publishHealth(const std::function<void(WorkerHealth &)> &fn);
 
     WorkerOptions options_;

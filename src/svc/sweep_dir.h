@@ -21,21 +21,19 @@
  *                                     (L1, L2, ...), merged into
  *                                     results.jsonl at final
  *                                     compaction (dist/store_merge.h)
- *   <dir>/health/<worker>.json        atomic per-process health
- *                                     snapshot (dist/health.h);
- *                                     supervisor.json for the fleet
- *                                     supervisor
  *   <dir>/logs/<worker>.log           child stdout/stderr when spawned
  *                                     by the supervisor
  *   <dir>/traces/<worker>.trace.json  Chrome trace_event dump of the
  *                                     worker's flight recorder
  *                                     (common/trace.h), written on
  *                                     exit and throttled heartbeats
- *   <dir>/metrics/<token>.json        per-process metrics-registry
- *                                     dump (common/metrics.h); one
- *                                     file per process incarnation,
- *                                     summed by `treevqa_run
- *                                     --metrics`
+ *   <dir>/metrics/<id>-p<pid>.json    per-incarnation telemetry:
+ *                                     health fields beside the
+ *                                     metrics-registry snapshot, one
+ *                                     atomic write (dist/health.h);
+ *                                     the newest incarnation per id
+ *                                     is `treevqa_run --health`,
+ *                                     the sum of all is `--metrics`
  *   <dir>/events/<token>.jsonl        per-incarnation causal event
  *                                     journal (common/event_log.h),
  *                                     HLC-stamped; merged by
@@ -123,20 +121,6 @@ sweepTierPath(const std::string &dir, int level,
 }
 
 inline std::string
-sweepHealthDir(const std::string &dir)
-{
-    return (std::filesystem::path(dir) / "health").string();
-}
-
-inline std::string
-sweepHealthPath(const std::string &dir, const std::string &workerId)
-{
-    return (std::filesystem::path(dir) / "health"
-            / (workerId + ".json"))
-        .string();
-}
-
-inline std::string
 sweepLogDir(const std::string &dir)
 {
     return (std::filesystem::path(dir) / "logs").string();
@@ -170,8 +154,8 @@ sweepMetricsDir(const std::string &dir)
     return (std::filesystem::path(dir) / "metrics").string();
 }
 
-/** One per-process metrics dump. `fileToken` embeds the pid (e.g.
- * "<worker>-p1234") so restarted slots add files instead of
+/** One per-incarnation telemetry file. `fileToken` embeds the pid
+ * (e.g. "<worker>-p1234") so restarted slots add files instead of
  * overwriting their predecessor's totals. */
 inline std::string
 sweepMetricsPath(const std::string &dir,

@@ -21,6 +21,8 @@
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/metrics.h"
+#include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/work_claim.h"
 #include "dist/worker_daemon.h"
@@ -498,6 +500,57 @@ TEST(StoreMerge, FoldsShardsIntoTheCanonicalStore)
     EXPECT_EQ(summary_once, summary_twice);
     EXPECT_EQ(summary_once,
               sweepSummaryJson(merged).dump(2) + "\n");
+}
+
+TEST(StoreMerge, MergeOnlyPassesNeverInflateFailedAttempts)
+{
+    // Two workers each spent one attempt on the same failing job. A
+    // merge over a live fleet must leave the record files alone: a
+    // canonical store holding the summed attempts beside the shards'
+    // originals would be folded again by every later load (2 -> 4 ->
+    // 6).
+    const auto dir = scratchDir("merge_only_attempts");
+    std::filesystem::create_directories(sweepShardDir(dir.string()));
+    const ScenarioSpec spec = tinySpec("flaky", 0.8);
+    JobResult failed;
+    failed.spec = spec;
+    failed.fingerprint = scenarioFingerprint(spec);
+    failed.failed = true;
+    failed.errorMessage = "injected";
+    failed.attempts = 1;
+    ResultStore(sweepShardPath(dir.string(), "w1")).append(failed);
+    ResultStore(sweepShardPath(dir.string(), "w2")).append(failed);
+    std::string shard_before;
+    ASSERT_TRUE(readTextFile(sweepShardPath(dir.string(), "w1"),
+                             shard_before));
+
+    for (int pass = 0; pass <= 2; ++pass) {
+        if (pass > 0) {
+            const SweepMergeStats stats =
+                compactSweepStore(dir.string(), false);
+            EXPECT_FALSE(stats.raced);
+            EXPECT_EQ(stats.uniqueRecords, 1u);
+        }
+        const std::vector<JobResult> merged =
+            loadMergedRecords(dir.string());
+        ASSERT_EQ(merged.size(), 1u);
+        EXPECT_EQ(merged[0].attempts, 2)
+            << "after " << pass << " merge-only pass(es)";
+    }
+    // Only the derived summary was written.
+    EXPECT_FALSE(std::filesystem::exists(sweepStorePath(dir.string())));
+    EXPECT_TRUE(std::filesystem::exists(sweepSummaryPath(dir.string())));
+    std::string shard_after;
+    ASSERT_TRUE(readTextFile(sweepShardPath(dir.string(), "w1"),
+                             shard_after));
+    EXPECT_EQ(shard_after, shard_before);
+
+    // The drained compaction still folds to the same count, once.
+    compactSweepStore(dir.string(), true);
+    const std::vector<JobResult> compacted =
+        loadMergedRecords(dir.string());
+    ASSERT_EQ(compacted.size(), 1u);
+    EXPECT_EQ(compacted[0].attempts, 2);
 }
 
 TEST(StoreMerge, CompactionRacingAPeerCompactionLosesNoRecord)
@@ -1057,6 +1110,89 @@ TEST(WorkerDaemon, GracefulStopSealsCheckpointAndResumesBitIdentical)
         loadMergedRecords(dir.string());
     ASSERT_EQ(merged.size(), 1u);
     expectJobsBitIdentical(merged[0], reference[0]);
+}
+
+TEST(WorkerDaemon, HeartbeatWritesTheRunningJobToTheHealthView)
+{
+    // A job's "running" and attempt transitions only update memory;
+    // the heartbeat (leaseMs 30: one beat per 10 ms) must carry them
+    // to disk while the job runs. The job sleeps about four beats and
+    // then reads the health view, as `treevqa_run --health` would.
+    const auto dir = scratchDir("beat_health");
+    const std::vector<ScenarioSpec> specs = {tinySpec("slow", 0.9, 3)};
+    WorkerOptions options;
+    options.sweepDir = dir.string();
+    options.workerId = "beater";
+    options.leaseMs = 30;
+    WorkerHealth seen;
+    options.jobRunner = [&](const ScenarioSpec &spec,
+                            const ScenarioRunOptions &run) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        // Poll on past the four beats only if the machine is loaded.
+        while (seen.state != "running"
+               && std::chrono::steady_clock::now() < deadline) {
+            for (const WorkerHealth &row :
+                 readHealthSnapshots(dir.string()))
+                if (row.id == "beater")
+                    seen = row;
+            if (seen.state != "running")
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+        }
+        return runScenario(spec, run);
+    };
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(seen.state, "running");
+    EXPECT_EQ(seen.jobName, "slow");
+    EXPECT_EQ(seen.jobFingerprint, scenarioFingerprint(specs[0]));
+    EXPECT_EQ(seen.jobAttempt, 1);
+
+    // The completion and stop writes follow.
+    const std::vector<WorkerHealth> after =
+        readHealthSnapshots(dir.string());
+    ASSERT_EQ(after.size(), 1u);
+    EXPECT_EQ(after[0].state, "stopped");
+    EXPECT_EQ(after[0].jobsCompleted, 1);
+    EXPECT_TRUE(after[0].jobName.empty());
+}
+
+TEST(WorkerDaemon, FsyncsPerCompletedJobStayWithinBudget)
+{
+    // Every durable write of a drain, per job: the checkpoints, the
+    // claim renewal and record append, the event-journal flushes and
+    // the one telemetry write at completion, plus the drain's own
+    // merge amortized over 16 jobs. leaseMs 60000 puts the heartbeat
+    // at 5 s, so no beat fires and the count is deterministic. It is
+    // 221 / 16 = 13.8; writing health and metrics as two files three
+    // times per job made it 387 / 16 = 24.2.
+    constexpr double kFsyncBudgetPerJob = 14.0;
+    const auto dir = scratchDir("fsync_budget");
+    std::vector<ScenarioSpec> specs;
+    for (int j = 0; j < 16; ++j) {
+        ScenarioSpec spec =
+            tinySpec("fsync" + std::to_string(j), 0.4 + 0.05 * j, 3);
+        spec.size = 2;
+        spec.checkpointInterval = 1;
+        specs.push_back(spec);
+    }
+    WorkerOptions options;
+    options.sweepDir = dir.string();
+    options.workerId = "budget";
+    options.leaseMs = 60000;
+    Counter &fsyncs = MetricsRegistry::instance().counter("file.fsyncs");
+    const std::uint64_t before = fsyncs.total();
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+    const std::uint64_t spent = fsyncs.total() - before;
+    ASSERT_TRUE(report.drained);
+    ASSERT_EQ(report.completed, specs.size());
+    const double per_job = static_cast<double>(spent)
+        / static_cast<double>(report.completed);
+    RecordProperty("fsyncs_per_job", std::to_string(per_job));
+    EXPECT_LE(per_job, kFsyncBudgetPerJob)
+        << spent << " fsyncs over " << report.completed << " jobs";
 }
 
 } // namespace

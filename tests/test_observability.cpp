@@ -24,6 +24,7 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "dist/health.h"
 #include "svc/sweep_dir.h"
 
 namespace treevqa {
@@ -213,10 +214,13 @@ TEST_F(ObservabilityTest, WriteAndReadDumpsThroughSweepDir)
 {
     const auto dir = scratchDir("dumps");
     MetricsRegistry::instance().counter("obs.sweep_total").inc(11);
-    EXPECT_TRUE(
-        writeMetricsSnapshot(dir.string(), "w0", "w0-p1"));
-    EXPECT_TRUE(
-        writeMetricsSnapshot(dir.string(), "w0", "w0-p2"));
+    WorkerHealth first;
+    first.id = "w0";
+    first.pid = 1;
+    WorkerHealth second = first;
+    second.pid = 2;
+    EXPECT_TRUE(writeTelemetrySnapshot(dir.string(), first));
+    EXPECT_TRUE(writeTelemetrySnapshot(dir.string(), second));
 
     const auto dumps = readMetricsDumps(dir.string());
     ASSERT_EQ(dumps.size(), 2u);
@@ -230,10 +234,11 @@ TEST_F(ObservabilityTest, WriteAndReadDumpsThroughSweepDir)
               22u);
 
     FaultInjection::instance().arm(
-        R"({"faults": [{"site": "metrics.write",
+        R"({"faults": [{"site": "health.write",
         "action": "fail-errno", "errno": "EIO", "hit": 1}]})");
-    EXPECT_FALSE(
-        writeMetricsSnapshot(dir.string(), "w0", "w0-p3"));
+    WorkerHealth third = first;
+    third.pid = 3;
+    EXPECT_FALSE(writeTelemetrySnapshot(dir.string(), third));
 }
 
 // -------------------------------------------------------------- traces

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/file_util.h"
+#include "common/metrics.h"
 #include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/supervisor.h"
@@ -91,6 +92,25 @@ elapsedMsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/** The supervisor's telemetry file carries its health row (in the
+ * given final state) and its slot table. */
+void
+expectSupervisorRow(const std::string &dir, const std::string &state)
+{
+    bool found = false;
+    for (const WorkerHealth &row : readHealthSnapshots(dir)) {
+        if (row.id != "supervisor")
+            continue;
+        found = true;
+        EXPECT_EQ(row.role, "supervisor");
+        EXPECT_EQ(row.state, state);
+    }
+    EXPECT_TRUE(found) << "no supervisor row under " << dir;
+    for (const auto &[token, dump] : readMetricsDumps(dir))
+        if (token.rfind("supervisor-p", 0) == 0)
+            EXPECT_TRUE(dump.at("slots").isArray()) << token;
+}
+
 // ----------------------------------------------------------- validation
 
 TEST(Supervisor, RejectsBadOptions)
@@ -132,8 +152,7 @@ TEST(Supervisor, AlreadyDrainedSweepStopsWithoutSpawning)
     EXPECT_EQ(report.spawns, 0u);
     EXPECT_EQ(report.crashes, 0u);
     // The health surface reflects the run even without children.
-    EXPECT_TRUE(std::filesystem::exists(
-        sweepHealthPath(dir.string(), "supervisor")));
+    expectSupervisorRow(dir.string(), "stopped");
 }
 
 TEST(Supervisor, CrashLoopRetiresEverySlotAndGivesUp)
@@ -188,10 +207,9 @@ TEST(Supervisor, ShutdownCascadeEscalatesToSigkill)
     EXPECT_GE(report.spawns, 1u);
     // Stop at ~150ms + full 200ms grace burned by the stubborn child.
     EXPECT_GE(elapsedMsSince(t0), 300);
-    // run() returned only after the straggler was reaped — no slot
-    // still believes it has a live child.
-    EXPECT_TRUE(std::filesystem::exists(
-        sweepHealthPath(dir.string(), "supervisor")));
+    // run() returned only after the straggler was reaped, and its
+    // last telemetry write says so.
+    expectSupervisorRow(dir.string(), "shutting-down");
 }
 
 TEST(Supervisor, CooperativeChildrenExitWithinTheGraceWindow)
@@ -267,6 +285,7 @@ TEST(Supervisor, WatchdogKillsHungClaimAndRecordsTimeout)
 TEST(Health, SnapshotRoundTripsAndAggregates)
 {
     const auto dir = scratchDir("health");
+    MetricsRegistry::instance().counter("health_test.beats").inc(5);
 
     WorkerHealth w;
     w.id = "w1";
@@ -280,31 +299,50 @@ TEST(Health, SnapshotRoundTripsAndAggregates)
     w.jobsCompleted = 3;
     w.jobsFailed = 1;
     w.jobsTimedOut = 1;
-    ASSERT_TRUE(writeHealthSnapshot(dir.string(), w));
+    w.flushIntervalMs = 100;
+    ASSERT_TRUE(writeTelemetrySnapshot(dir.string(), w));
+
+    // An older incarnation of the same slot: still summed by the
+    // metrics view, but the health view shows only the newest.
+    WorkerHealth earlier = w;
+    earlier.pid = 9999;
+    earlier.startedMs = 500;
+    earlier.state = "stopped";
+    ASSERT_TRUE(writeTelemetrySnapshot(dir.string(), earlier));
 
     WorkerHealth idle;
     idle.id = "w2";
     idle.pid = 4243;
     idle.state = "idle";
     idle.jobsCompleted = 2;
-    ASSERT_TRUE(writeHealthSnapshot(dir.string(), idle));
+    ASSERT_TRUE(writeTelemetrySnapshot(dir.string(), idle));
 
-    // A torn snapshot must be skipped, not kill the aggregation.
-    std::filesystem::create_directories(sweepHealthDir(dir.string()));
-    writeTextFileAtomic(sweepHealthPath(dir.string(), "torn"),
+    // A torn file must be skipped, not kill the aggregation.
+    writeTextFileAtomic(sweepMetricsPath(dir.string(), "torn-p1"),
                         "{\"id\": \"to");
 
     const std::vector<WorkerHealth> snapshots =
         readHealthSnapshots(dir.string());
     ASSERT_EQ(snapshots.size(), 2u);
     EXPECT_EQ(snapshots[0].id, "w1"); // id-sorted
+    EXPECT_EQ(snapshots[0].pid, 4242); // newest incarnation
     EXPECT_EQ(snapshots[0].state, "running");
     EXPECT_EQ(snapshots[0].jobName, "job0");
     EXPECT_EQ(snapshots[0].jobProgress, 7);
     EXPECT_EQ(snapshots[0].jobAttempt, 2);
+    EXPECT_EQ(snapshots[0].flushIntervalMs, 100);
     EXPECT_GT(snapshots[0].updatedMs, 0); // stamped by the writer
+    EXPECT_FALSE(snapshots[0].hlc.empty());
     EXPECT_GE(snapshots[0].rssKb, -1);
     EXPECT_EQ(snapshots[1].id, "w2");
+
+    // The same files are the metrics dumps: one per incarnation,
+    // each carrying the registry snapshot.
+    const JsonValue metrics =
+        aggregateMetricsJson(readMetricsDumps(dir.string()));
+    EXPECT_EQ(metrics.at("processes").asInt(), 3);
+    EXPECT_EQ(metrics.at("counters").at("health_test.beats").asUint(),
+              15u);
 
     const JsonValue doc =
         aggregateHealthJson(snapshots, snapshots[0].updatedMs + 50);
@@ -314,8 +352,10 @@ TEST(Health, SnapshotRoundTripsAndAggregates)
     EXPECT_EQ(doc.at("jobsCompleted").asInt(), 5);
     EXPECT_EQ(doc.at("jobsFailed").asInt(), 1);
     EXPECT_EQ(doc.at("jobsTimedOut").asInt(), 1);
+    const JsonValue &row = doc.at("workers").asArray().at(0);
     EXPECT_EQ(doc.at("workers").asArray().size(), 2u);
-    EXPECT_EQ(doc.at("workers").asArray()[0].at("staleMs").asInt(), 50);
+    EXPECT_EQ(row.at("staleMs").asInt(), 50);
+    EXPECT_FALSE(row.at("stale").asBool()); // 50 ms < 2 x 100 ms
 
     // And the JSON round-trips field-for-field.
     const WorkerHealth back = healthFromJson(healthToJson(w));
@@ -328,16 +368,17 @@ TEST(Health, SnapshotRoundTripsAndAggregates)
     EXPECT_EQ(back.jobAttempt, w.jobAttempt);
     EXPECT_EQ(back.jobsCompleted, w.jobsCompleted);
     EXPECT_EQ(back.jobsTimedOut, w.jobsTimedOut);
+    EXPECT_EQ(back.flushIntervalMs, w.flushIntervalMs);
 }
 
 TEST(Health, SnapshotWriteFailureIsToleratedNotThrown)
 {
     WorkerHealth h;
     h.id = "w";
-    // An unwritable sweep root: writeHealthSnapshot must report false,
-    // never throw — observability cannot take down the worker.
+    // An unwritable sweep root: writeTelemetrySnapshot must report
+    // false, never throw — observability cannot take down the worker.
     EXPECT_FALSE(
-        writeHealthSnapshot("/proc/definitely/not/writable", h));
+        writeTelemetrySnapshot("/proc/definitely/not/writable", h));
 }
 
 } // namespace

@@ -54,6 +54,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +65,7 @@
 #include "common/crc_line.h"
 #include "common/file_util.h"
 #include "common/json.h"
+#include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/supervisor.h"
 #include "dist/worker_daemon.h"
@@ -692,8 +694,13 @@ main(int argc, char **argv)
                    "timeout records "
                        + std::to_string(rep.timeoutRecords) + " < "
                        + std::to_string(drill.minTimeoutRecords));
-            expect(fs::exists(sweepHealthPath(dir, "supervisor")),
-                   "missing supervisor health snapshot");
+            const std::vector<WorkerHealth> rows =
+                readHealthSnapshots(dir);
+            expect(std::any_of(rows.begin(), rows.end(),
+                               [](const WorkerHealth &row) {
+                                   return row.id == "supervisor";
+                               }),
+                   "missing supervisor health row");
             if (drill.checkAttemptBudget) {
                 // The fleet-wide circuit breaker's contract: per job,
                 // cumulative attempts ≤ budget even with 3 workers.

@@ -42,18 +42,19 @@
  *                 pending, plus the count of corrupt store lines that
  *                 were quarantined. SPEC.json may be omitted when DIR
  *                 holds sweep.json
- *   --health      aggregate the fleet's health snapshots
- *                 (DIR/health/*.json — workers and supervisor) into
- *                 one JSON document on stdout, flagging workers whose
- *                 snapshot is older than 2x their declared flush
- *                 cadence as stale
- *   --metrics     merge the fleet's metrics dumps (DIR/metrics/*.json,
+ *   --health      aggregate the fleet's health rows (the newest
+ *                 telemetry file per id under DIR/metrics/ — workers
+ *                 and supervisor) into one JSON document on stdout,
+ *                 flagging workers whose row is older than 2x their
+ *                 declared flush cadence as stale
+ *   --metrics     merge the fleet's telemetry files (DIR/metrics/*.json,
  *                 one per process incarnation) into one fleet-wide
- *                 view: summed counters, max'd gauges, and per-phase
- *                 latency percentiles from the merged histograms;
- *                 with --since PRIOR.json (a saved aggregate), emit
- *                 per-counter deltas and per-second rates over the
- *                 wall interval between the two aggregates instead
+ *                 view: summed counters, max'd gauges, per-phase
+ *                 latency percentiles from the merged histograms,
+ *                 and the derived fsyncsPerCompletedJob; with --since
+ *                 PRIOR.json (a saved aggregate), emit per-counter
+ *                 deltas and per-second rates over the wall interval
+ *                 between the two aggregates instead
  *   --timeline FP merge every event journal (DIR/events/*.jsonl) and
  *                 print the causal biography of one job: every event
  *                 whose subject is FP, in hybrid-logical-clock order.
@@ -727,19 +728,18 @@ main(int argc, char **argv)
     if (watch)
         return runWatch(out_dir, watch_rounds, watch_interval_ms);
     if (health) {
-        // Pure read of DIR/health/*.json; needs no spec at all.
+        // Pure read of DIR/metrics/*.json; needs no spec at all.
         const JsonValue doc = aggregateHealthJson(
             readHealthSnapshots(out_dir), unixTimeMs());
         std::printf("%s\n", doc.dump(2).c_str());
         return 0;
     }
     if (metrics) {
-        // Pure read of DIR/metrics/*.json. Every dump is one process
+        // Pure read of DIR/metrics/*.json. Every file is one process
         // incarnation's registry snapshot; merging sums counters and
         // histograms across the whole fleet's lifetime, including
         // incarnations that were later SIGKILLed and replaced.
-        const JsonValue doc =
-            aggregateMetricsJson(readMetricsDumps(out_dir));
+        JsonValue doc = aggregateMetricsJson(readMetricsDumps(out_dir));
         if (!since_file.empty()) {
             // Delta view: rates since a saved aggregate.
             std::string prior_text;
@@ -761,6 +761,13 @@ main(int argc, char **argv)
             }
             return 0;
         }
+        // The cost of durability per unit of work: every fsync the
+        // fleet made (checkpoints, records, claims, journal,
+        // telemetry, merges) over the jobs it completed.
+        const double jobs = aggCounter(doc, "worker.jobs_completed");
+        doc.set("fsyncsPerCompletedJob",
+                JsonValue(jobs > 0 ? aggCounter(doc, "file.fsyncs") / jobs
+                                   : 0.0));
         std::printf("%s\n", doc.dump(2).c_str());
         return 0;
     }

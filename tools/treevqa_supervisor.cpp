@@ -46,8 +46,9 @@
  *   -- WORKER_ARGS    everything after -- is appended to the worker
  *                     command line verbatim (before --worker-id)
  *
- * Child stdout/stderr go to DIR/logs/<slot-id>.log; the fleet view is
- * DIR/health/supervisor.json (aggregate with treevqa_run --health).
+ * Child stdout/stderr go to DIR/logs/<slot-id>.log; the supervisor's
+ * slot table rides its telemetry file DIR/metrics/supervisor-p<pid>.json
+ * (aggregate with treevqa_run --health).
  * Exit codes: 0 drained, 1 not drained (stopped early or every slot
  * retired), 2 usage error.
  */

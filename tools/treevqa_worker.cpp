@@ -36,11 +36,12 @@
  *                    compaction handles everything)
  *   --tier-fanout N  sealed tier files per fold (default 8, min 2)
  *   --no-merge       skip the shard→store compaction after draining
- *   --merge-only     just run the merge/compaction pass and exit;
- *                    exits 1 when corrupt store lines were found (the
- *                    lines are quarantined, their shards moved to
- *                    DIR/quarantine/, never deleted), and 75 when
- *                    every pass raced a concurrent fold or compaction
+ *   --merge-only     fold every record file into DIR/summary.json
+ *                    and exit, leaving the record files untouched
+ *                    (the drained fleet compacts them); exits 1 when
+ *                    corrupt store lines were found (the lines are
+ *                    copied to DIR/quarantine/), and 75 when every
+ *                    pass raced a concurrent fold or compaction
  *                    (nothing written; rerun)
  *   --max-job-attempts N
  *                    retry budget for throwing jobs before poison
@@ -256,8 +257,9 @@ main(int argc, char **argv)
         }
 
         if (merge_only) {
-            // The fleet may still be live, so fold the shards without
-            // deleting them; the drained worker retires them.
+            // The fleet may still be live: write the summary only and
+            // leave every record file to the drained worker's
+            // compaction.
             const SweepMergeStats stats = compactSweepStore(
                 sweep_dir, /*removeMergedShards=*/false);
             if (stats.raced) {
@@ -267,22 +269,21 @@ main(int argc, char **argv)
                              "written, retry --merge-only\n");
                 return 75;
             }
-            std::printf("merged %zu records (%zu unique) from %zu "
-                        "shard(s) into %s (shards kept)\n",
+            std::printf("folded %zu records (%zu unique) from %zu "
+                        "shard(s) and %zu tier(s) into %s (record "
+                        "files kept)\n",
                         stats.inputRecords, stats.uniqueRecords,
-                        stats.shardFiles,
-                        sweepStorePath(sweep_dir).c_str());
+                        stats.shardFiles, stats.tierFiles,
+                        sweepSummaryPath(sweep_dir).c_str());
             if (stats.corruptLines > 0) {
                 // Corruption is an operator-visible condition: the
-                // bad lines were quarantined (and their shards moved
-                // aside, never deleted), but a clean exit would hide
-                // that jobs may rerun. Fail the merge so scripts see.
+                // bad lines were quarantined, but a clean exit would
+                // hide that jobs may rerun. Fail the merge so scripts
+                // see.
                 std::fprintf(stderr,
                              "treevqa_worker: %zu corrupt line(s) "
-                             "quarantined (%zu shard(s) moved to %s); "
-                             "failing --merge-only\n",
+                             "quarantined to %s; failing --merge-only\n",
                              stats.corruptLines,
-                             stats.quarantinedShards,
                              quarantineDirFor(sweepStorePath(sweep_dir))
                                  .c_str());
                 return 1;
