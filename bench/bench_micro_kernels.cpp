@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "circuit/hardware_efficient.h"
-#include "circuit/uccsd_min.h"
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -40,11 +39,8 @@
 #include "ham/spin_chains.h"
 #include "ham/synthetic_molecule.h"
 #include "linalg/lanczos.h"
-#include "paulprop/pauli_propagation.h"
-#include "sim/eval_plan.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
-#include "sim/workspace_pool.h"
 #include "svc/job_scheduler.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
@@ -319,78 +315,6 @@ benchBatchedEvaluation()
             }
         });
         record("evaluate_batch_" + std::to_string(batch), n, fast,
-               ref);
-    }
-}
-
-void
-benchCompiledPrepSharedPrefix()
-{
-    // Shared-prefix batched preparation on an SPSA ± pair over the
-    // UCCSD-minimal ansatz. SPSA perturbs every parameter, so the
-    // sharing is exactly the fixed preamble (basis changes + CX
-    // ladders); the EvalPlan must do strictly less gate-application
-    // work than two independent preparations. Reported as applied-op
-    // counts (fast = plan, ref = independent), which is robust to a
-    // single-core CI container — the "speedup" column is the work
-    // ratio, not a timing.
-    const Ansatz ansatz = makeUccsdMinimalAnsatz();
-    Rng rng(77);
-    std::vector<double> x(ansatz.numParams());
-    for (auto &t : x)
-        t = rng.uniform(-1, 1);
-    const std::vector<double> delta = rng.rademacherVector(x.size());
-    std::vector<std::vector<double>> probes(2, x);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        probes[0][i] += 0.1 * delta[i];
-        probes[1][i] -= 0.1 * delta[i];
-    }
-
-    const EvalPlan plan(ansatz.compiled(), probes, ansatz.initialBits());
-    // Drive the plan once so the numbers reflect a real execution.
-    StatevectorPool pool(ansatz.numQubits());
-    std::size_t leaves = 0;
-    plan.execute(pool, [&](const std::vector<std::size_t> &p,
-                           const Statevector &) { leaves += p.size(); });
-
-    record("compiled_prep_shared_prefix", ansatz.numQubits(),
-           static_cast<double>(plan.stats().appliedOps),
-           static_cast<double>(plan.stats().independentOps));
-    (void)leaves;
-}
-
-void
-benchPaulpropSharded(int n)
-{
-    // One multi-observable propagation at 1/2/4/8 live-map shards vs
-    // the serial single-shard reference (ref column). On a single-core
-    // container the ratio is ~1.0x; sharding pays off on multi-core.
-    const auto fam = tfimFamily(n, 0.7, 1.3, 4);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0);
-    Rng rng(13);
-    std::vector<double> theta(ansatz.numParams());
-    for (auto &t : theta)
-        t = rng.uniform(-1.5, 1.5);
-
-    PauliPropConfig serial_cfg;
-    serial_cfg.maxWeight = 6;
-    serial_cfg.shards = 1;
-    const PauliPropagator serial(ansatz.compiled(), serial_cfg);
-    const double ref = timeNs([&] {
-        auto v = serial.expectations(theta, fam, 0);
-        (void)v;
-    });
-
-    ThreadPool::global().resize(0); // machine default
-    for (const int shards : {1, 2, 4, 8}) {
-        PauliPropConfig cfg = serial_cfg;
-        cfg.shards = shards;
-        const PauliPropagator prop(ansatz.compiled(), cfg);
-        const double fast = timeNs([&] {
-            auto v = prop.expectations(theta, fam, 0);
-            (void)v;
-        });
-        record("paulprop_sharded_" + std::to_string(shards), n, fast,
                ref);
     }
 }
@@ -969,8 +893,6 @@ main()
     benchExpectationsLih12();
     benchGroundSolve();
     benchBatchedEvaluation();
-    benchCompiledPrepSharedPrefix();
-    benchPaulpropSharded(10);
     benchSchedulerThroughput();
     benchDistThroughput();
     benchClaimPath();

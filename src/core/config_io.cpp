@@ -29,9 +29,9 @@ engineConfigToJson(const EngineConfig &config)
     prop.set("maxTerms",
              JsonValue(static_cast<std::uint64_t>(
                  config.propConfig.maxTerms)));
-    prop.set("shards",
-             JsonValue(static_cast<std::int64_t>(
-                 config.propConfig.shards)));
+    // Propagation is serial. The member stays in the canonical form
+    // because scenario fingerprints hash these bytes.
+    prop.set("shards", JsonValue(static_cast<std::int64_t>(1)));
     out.set("propConfig", std::move(prop));
     return out;
 }
@@ -86,7 +86,10 @@ engineConfigFromJson(const JsonValue &json)
                 static_cast<std::size_t>(w.asUint());
         });
         jsonMaybe(v, "shards", [&](const JsonValue &w) {
-            config.propConfig.shards = static_cast<int>(w.asInt());
+            if (!w.isNumber() || w.asDouble() != 1.0)
+                throw std::invalid_argument(
+                    "engine config propConfig: shards must be 1 "
+                    "(propagation is serial)");
         });
     });
     return config;

@@ -52,7 +52,7 @@ struct EngineConfig
     bool injectShotNoise = true;
     /** Device noise model (defaults to noiseless). */
     NoiseModel noise;
-    /** Truncation/sharding knobs for the PauliPropagation backend. */
+    /** Truncation knobs for the PauliPropagation backend. */
     PauliPropConfig propConfig;
 };
 

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace treevqa {
 
 ClusterObjective::ClusterObjective(
@@ -91,7 +93,10 @@ ClusterObjective::evaluateBatch(
     // on thread count or completion order.
     const std::uint64_t base = rng.nextU64();
     std::vector<ClusterEvaluation> out(thetas.size());
-    backend_->evaluateBatch(thetas, base, out);
+    ThreadPool::global().run(thetas.size(), [&](std::size_t i) {
+        Rng probe_rng = probeRng(base, i);
+        out[i] = backend_->evaluate(thetas[i], probe_rng);
+    });
     return out;
 }
 

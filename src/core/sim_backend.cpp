@@ -4,9 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "paulprop/pauli_propagation.h"
-#include "sim/eval_plan.h"
 #include "sim/expectation.h"
 #include "sim/workspace_pool.h"
 
@@ -16,8 +14,7 @@ namespace {
 
 /**
  * Dense-statevector engine: exact per-term expectations through one
- * ExpectationPlan over the aligned strings + per-term shot noise, with
- * EvalPlan shared-prefix preparation on the batch path.
+ * ExpectationPlan over the aligned strings + per-term shot noise.
  */
 class StatevectorBackend final : public SimBackend
 {
@@ -37,28 +34,6 @@ class StatevectorBackend final : public SimBackend
                                Rng &rng) const override
     {
         return finish(termExpectations(theta), rng);
-    }
-
-    void evaluateBatch(const std::vector<std::vector<double>> &thetas,
-                       std::uint64_t stream_base,
-                       std::vector<ClusterEvaluation> &out) const override
-    {
-        assert(out.size() == thetas.size());
-        // The plan shares every common parameter prefix across the
-        // batch: each leaf state is bit-identical to straight-line
-        // preparation, and probes landing on the same leaf also share
-        // the expectation pass (noise streams stay per-probe).
-        const EvalPlan plan(in_.program, thetas, in_.initialBits);
-        plan.execute(
-            pool_, [&](const std::vector<std::size_t> &probes,
-                       const Statevector &state) {
-                const std::vector<double> values =
-                    expectations_.evaluate(state);
-                for (std::size_t i : probes) {
-                    Rng rng = probeRng(stream_base, i);
-                    out[i] = finish(values, rng);
-                }
-            });
     }
 
     std::vector<double> exactTaskEnergies(
@@ -136,8 +111,8 @@ class StatevectorBackend final : public SimBackend
     /** Reusable state buffers: objective evaluations are the
      * per-iterate hot path, and reallocating a 2^n complex vector per
      * call costs more than the gates at small n. The pool hands each
-     * concurrent evaluation (and each EvalPlan checkpoint) its own
-     * buffer, so all entry points are reentrant. */
+     * concurrent evaluation its own buffer, so all entry points are
+     * reentrant. */
     mutable StatevectorPool pool_;
     /** The aligned strings compiled once: every probe's expectation
      * pass reuses the same groups and masks. */
@@ -146,8 +121,7 @@ class StatevectorBackend final : public SimBackend
 
 /**
  * Pauli-propagation engine: joint Heisenberg propagation of all member
- * Hamiltonians + the mixed one, aggregate shot noise, optional live-map
- * sharding inside each propagation.
+ * Hamiltonians + the mixed one, aggregate shot noise.
  */
 class PauliPropagationBackend final : public SimBackend
 {
@@ -202,17 +176,6 @@ class PauliPropagationBackend final : public SimBackend
         out.mixedEnergy = energies.back();
         out.taskEnergies.assign(energies.begin(), energies.end() - 1);
         return out;
-    }
-
-    void evaluateBatch(const std::vector<std::vector<double>> &thetas,
-                       std::uint64_t stream_base,
-                       std::vector<ClusterEvaluation> &out) const override
-    {
-        assert(out.size() == thetas.size());
-        ThreadPool::global().run(thetas.size(), [&](std::size_t i) {
-            Rng rng = probeRng(stream_base, i);
-            out[i] = evaluate(thetas[i], rng);
-        });
     }
 
     std::vector<double> exactTaskEnergies(

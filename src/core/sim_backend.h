@@ -5,25 +5,25 @@
  *
  * A ClusterObjective owns exactly one SimBackend, selected *by name*
  * through makeSimBackend() (EngineConfig::backendName). Both shipped
- * engines implement the same five operations:
+ * engines implement the same four operations:
  *
  *  - "statevector": dense simulation. Per-term expectations via an
  *    ExpectationPlan built once, per-term shot noise, classical
- *    recombination; batches route through an EvalPlan so probes of one
- *    iterate share prefix state preparation.
+ *    recombination.
  *  - "paulprop": Heisenberg-picture Pauli propagation (joint
- *    multi-observable propagation, aggregate shot noise); batches fan
- *    the independent propagations over the thread pool, and each
- *    propagation may itself be sharded (PauliPropConfig::shards).
+ *    multi-observable propagation, aggregate shot noise).
+ *
+ * A backend evaluates one probe at a time; the objective fans a probe
+ * batch over the thread pool (ClusterObjective::evaluateBatch), the
+ * same way for every backend.
  *
  * Both consume the same immutable CompiledCircuit program (shared
  * ownership), which is the seam a future GPU backend plugs into: the
  * program's fused-op stream maps 1:1 onto device kernel launches.
  *
- * Determinism contract (inherited from PR 2): evaluate() draws only
- * from the caller's Rng; evaluateBatch(probes, base, out) writes
- * out[i] equal to evaluate(probes[i], probeRng(base, i)) bit-for-bit,
- * for any thread-pool size.
+ * Determinism contract: evaluate() draws only from the caller's Rng
+ * and is thread-safe, so a batch that evaluates probe i with
+ * probeRng(base, i) is bit-identical at any thread-pool size.
  */
 
 #ifndef TREEVQA_CORE_SIM_BACKEND_H
@@ -78,16 +78,6 @@ class SimBackend
     /** Noisy evaluation at theta. Thread-safe. */
     virtual ClusterEvaluation evaluate(const std::vector<double> &theta,
                                        Rng &rng) const = 0;
-
-    /**
-     * Noisy evaluation of a probe batch: out[i] must equal
-     * evaluate(thetas[i], probeRng(stream_base, i)) bit-for-bit at any
-     * pool size. `out` is pre-sized by the caller.
-     */
-    virtual void evaluateBatch(
-        const std::vector<std::vector<double>> &thetas,
-        std::uint64_t stream_base,
-        std::vector<ClusterEvaluation> &out) const = 0;
 
     /** Exact (noiseless, infinite-shot) member energies at theta. */
     virtual std::vector<double> exactTaskEnergies(

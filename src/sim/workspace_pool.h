@@ -4,13 +4,12 @@
  *
  * Objective evaluations are the per-iterate hot path: reallocating a
  * 2^n complex vector per call costs more than the gates at small n, so
- * buffers are pooled and reused. Unlike the former single lazy
- * workspace (which made ClusterObjective::evaluate non-reentrant), the
- * pool hands each concurrent evaluation its own buffer: parallel probe
- * batches check one out, prepare their state, and return it. Buffers
- * are created on demand, so the pool never holds more statevectors
- * than the peak evaluation concurrency, and a PauliPropagation-backend
- * objective never allocates any.
+ * buffers are pooled and reused. The pool hands each concurrent
+ * evaluation its own buffer: each probe of a parallel batch checks one
+ * out, prepares its state, and returns it. Buffers are created on
+ * demand, so the pool never holds more statevectors than the peak
+ * evaluation concurrency, and a PauliPropagation-backend objective
+ * never allocates any.
  */
 
 #ifndef TREEVQA_SIM_WORKSPACE_POOL_H
@@ -71,15 +70,6 @@ class StatevectorPool
         return Lease(*this, std::make_unique<Statevector>(numQubits_));
     }
 
-    int numQubits() const { return numQubits_; }
-
-    /** Buffers currently parked in the pool (telemetry/tests). */
-    std::size_t idleCount() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return free_.size();
-    }
-
   private:
     void release(std::unique_ptr<Statevector> state)
     {
@@ -88,7 +78,7 @@ class StatevectorPool
     }
 
     int numQubits_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::vector<std::unique_ptr<Statevector>> free_;
 };
 

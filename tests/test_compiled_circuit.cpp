@@ -2,9 +2,8 @@
  * @file
  * Tests for the compiled execution-plan layer: CompiledCircuit vs
  * eager gate-by-gate application for every gate type, the process-wide
- * CompilationCache, EvalPlan prefix-tree checkpointing on crafted
- * probe sets, sharded vs serial Pauli propagation, and SimBackend
- * selection by name.
+ * CompilationCache, Pauli propagation vs the statevector, and
+ * SimBackend selection by name.
  */
 
 #include <gtest/gtest.h>
@@ -17,28 +16,14 @@
 #include "circuit/hardware_efficient.h"
 #include "circuit/uccsd_min.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/config_io.h"
 #include "core/objective.h"
 #include "core/sim_backend.h"
 #include "ham/spin_chains.h"
-#include "sim/eval_plan.h"
 #include "sim/expectation.h"
-#include "sim/workspace_pool.h"
 
 namespace treevqa {
 namespace {
-
-/** Sets the global pool to `threads` lanes for one test scope. */
-class PoolSizeGuard
-{
-  public:
-    explicit PoolSizeGuard(std::size_t threads)
-    {
-        ThreadPool::global().resize(threads);
-    }
-    ~PoolSizeGuard() { ThreadPool::global().resize(0); }
-};
 
 /** Unfused reference: one kernel call per source instruction. */
 Statevector
@@ -166,55 +151,10 @@ TEST(CompiledCircuit, RandomMixedCircuitsMatchEager)
 TEST(CompiledCircuit, FusionCompressesSingleQubitRuns)
 {
     // A rotation layer plus entangler compiles to far fewer ops than
-    // source gates, and every op reports the parameters it reads.
+    // source gates.
     const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0);
     const CompiledCircuit &program = *ansatz.compiled();
     EXPECT_LT(program.numOps(), ansatz.circuit().numGates());
-
-    std::size_t bound_reads = 0;
-    for (std::size_t i = 0; i < program.numOps(); ++i)
-        bound_reads += static_cast<std::size_t>(
-            program.opParamsEnd(i) - program.opParamsBegin(i));
-    // Every bound source gate appears exactly once across the ops.
-    std::size_t bound_gates = 0;
-    for (const auto &g : ansatz.circuit().gates())
-        if (g.paramIndex >= 0)
-            ++bound_gates;
-    EXPECT_EQ(bound_reads, bound_gates);
-}
-
-TEST(CompiledCircuit, OpBindsEquallyComparesOnlyReadParams)
-{
-    Circuit c(2);
-    const int p0 = c.addParam();
-    const int p1 = c.addParam();
-    c.ryParam(0, p0);
-    c.cx(0, 1);
-    c.rzParam(1, p1);
-    const CompiledCircuit program(c);
-
-    const std::vector<double> a{0.5, 1.0};
-    const std::vector<double> b{0.5, 2.0}; // differs only in p1
-    // Find the op reading p0: it must bind equally; the op reading p1
-    // must not.
-    bool saw_p0 = false, saw_p1 = false;
-    for (std::size_t i = 0; i < program.numOps(); ++i) {
-        const int *begin = program.opParamsBegin(i);
-        const int *end = program.opParamsEnd(i);
-        if (begin == end) {
-            EXPECT_TRUE(program.opBindsEqually(i, a, b));
-            continue;
-        }
-        if (*begin == p0) {
-            saw_p0 = true;
-            EXPECT_TRUE(program.opBindsEqually(i, a, b));
-        } else if (*begin == p1) {
-            saw_p1 = true;
-            EXPECT_FALSE(program.opBindsEqually(i, a, b));
-        }
-    }
-    EXPECT_TRUE(saw_p0);
-    EXPECT_TRUE(saw_p1);
 }
 
 TEST(CompilationCache, SameCircuitSharesOneProgram)
@@ -234,230 +174,7 @@ TEST(CompilationCache, SameCircuitSharesOneProgram)
     EXPECT_NE(d.compiled().get(), a.compiled().get());
 }
 
-/** Capture every leaf state of a plan, slotted per probe. */
-std::vector<CVector>
-runPlan(const EvalPlan &plan, StatevectorPool &pool, std::size_t probes)
-{
-    std::vector<CVector> states(probes);
-    plan.execute(pool, [&](const std::vector<std::size_t> &leaf_probes,
-                           const Statevector &state) {
-        for (std::size_t i : leaf_probes)
-            states[i] = state.amplitudes();
-    });
-    return states;
-}
-
-TEST(EvalPlan, SpsaPairSharesFixedPrefixOnUccsd)
-{
-    // An SPSA ± pair perturbs every parameter, so the shared prefix is
-    // the fixed preamble (basis changes + CX ladder of the first Pauli
-    // exponential). The plan must do strictly less gate-application
-    // work than two independent preparations, bit-identically.
-    const Ansatz ansatz = makeUccsdMinimalAnsatz();
-    Rng rng(42);
-    std::vector<double> x(ansatz.numParams());
-    for (auto &t : x)
-        t = rng.uniform(-1, 1);
-    const std::vector<double> delta = rng.rademacherVector(x.size());
-    std::vector<std::vector<double>> probes(2, x);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        probes[0][i] += 0.1 * delta[i];
-        probes[1][i] -= 0.1 * delta[i];
-    }
-
-    const EvalPlan plan(ansatz.compiled(), probes, ansatz.initialBits());
-    const EvalPlanStats &stats = plan.stats();
-    EXPECT_EQ(stats.independentOps, 2 * stats.programOps);
-    EXPECT_LT(stats.appliedOps, stats.independentOps);
-    EXPECT_GT(stats.sharedOps(), 0u);
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Statevector ref(ansatz.numQubits());
-        ansatz.prepareInto(ref, probes[i]);
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-    }
-}
-
-TEST(EvalPlan, SimplexBuildSharesPerCoordinatePrefixes)
-{
-    // A simplex build perturbs one coordinate per probe: probe i
-    // shares the program prefix up to the first op reading param i.
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0b0101);
-    Rng rng(7);
-    std::vector<double> base(ansatz.numParams());
-    for (auto &t : base)
-        t = rng.uniform(-2, 2);
-
-    std::vector<std::vector<double>> probes;
-    probes.push_back(base);
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        probes.push_back(base);
-        probes.back()[i] += 0.25;
-    }
-
-    const EvalPlan plan(ansatz.compiled(), probes, ansatz.initialBits());
-    EXPECT_LT(plan.stats().appliedOps, plan.stats().independentOps);
-    EXPECT_GE(plan.stats().checkpointNodes, probes.size());
-
-    StatevectorPool pool(ansatz.numQubits());
-    for (const std::size_t threads : {1u, 4u}) {
-        PoolSizeGuard guard(threads);
-        const auto states = runPlan(plan, pool, probes.size());
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            Statevector ref(ansatz.numQubits());
-            ansatz.prepareInto(ref, probes[i]);
-            EXPECT_EQ(states[i], ref.amplitudes())
-                << "probe " << i << " threads " << threads;
-        }
-    }
-}
-
-TEST(EvalPlan, IdenticalProbesCollapseToOneLeaf)
-{
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(3, 1, 0);
-    const std::vector<double> theta(
-        static_cast<std::size_t>(ansatz.numParams()), 0.4);
-    const std::vector<std::vector<double>> probes(4, theta);
-
-    const EvalPlan plan(ansatz.compiled(), probes, 0);
-    // One straight-line preparation serves all four probes.
-    EXPECT_EQ(plan.stats().appliedOps, plan.stats().programOps);
-    EXPECT_EQ(plan.stats().checkpointNodes, 1u);
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    Statevector ref(ansatz.numQubits());
-    ansatz.prepareInto(ref, theta);
-    for (std::size_t i = 0; i < probes.size(); ++i)
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-}
-
-TEST(EvalPlan, FullyDivergentPairFallsBackToIndependentWork)
-{
-    // HEA's first compiled op already reads parameters, so a pair
-    // differing everywhere shares nothing — the plan must still be
-    // correct and cost exactly the independent amount.
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 1, 0);
-    const auto probes = [&] {
-        Rng rng(11);
-        std::vector<std::vector<double>> out(2);
-        for (auto &theta : out) {
-            theta.resize(ansatz.numParams());
-            for (auto &t : theta)
-                t = rng.uniform(-2, 2);
-        }
-        return out;
-    }();
-
-    const EvalPlan plan(ansatz.compiled(), probes, 0);
-    EXPECT_EQ(plan.stats().appliedOps, plan.stats().independentOps);
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Statevector ref(ansatz.numQubits());
-        ansatz.prepareInto(ref, probes[i]);
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-    }
-}
-
-TEST(EvalPlan, LateSingleParamDivergenceSharesDeepPrefix)
-{
-    // Crafted probe set: rotations on every qubit, with only the very
-    // last parameter differing — the prefix tree should share all but
-    // the final fused op.
-    Circuit c(3);
-    std::vector<int> params;
-    for (int q = 0; q < 3; ++q) {
-        params.push_back(c.addParam());
-        c.ryParam(q, params.back());
-        c.cx(q, (q + 1) % 3);
-    }
-    const int last = c.addParam();
-    c.ryParam(2, last);
-    const Ansatz ansatz(std::move(c), 0);
-
-    std::vector<std::vector<double>> probes(
-        3, std::vector<double>{0.3, -0.6, 0.9, 0.0});
-    probes[1].back() = 0.5;
-    probes[2].back() = -0.5;
-
-    const EvalPlan plan(ansatz.compiled(), probes, 0);
-    // Shared ops: everything except each probe's final fused op.
-    EXPECT_EQ(plan.stats().appliedOps,
-              plan.stats().programOps - 1 + probes.size());
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Statevector ref(ansatz.numQubits());
-        ansatz.prepareInto(ref, probes[i]);
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-    }
-}
-
-PauliPropConfig
-exactShardConfig(int shards)
-{
-    PauliPropConfig cfg;
-    cfg.maxWeight = 64;
-    cfg.coefThreshold = 0.0;
-    cfg.shards = shards;
-    return cfg;
-}
-
-TEST(ShardedPropagation, MatchesSerialAtEveryShardCount)
-{
-    // Sharded vs serial live-map propagation at 1/2/4/8 shards on a
-    // TFIM family over a 2-layer HEA: equality at 1e-12.
-    const int n = 6;
-    const auto fam = tfimFamily(n, 0.7, 1.3, 3);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0);
-    Rng rng(23);
-    std::vector<double> theta(ansatz.numParams());
-    for (auto &t : theta)
-        t = rng.uniform(-1.5, 1.5);
-
-    const PauliPropagator serial(ansatz.compiled(),
-                                 exactShardConfig(1));
-    const std::vector<double> ref =
-        serial.expectations(theta, fam, 0);
-
-    for (const int shards : {2, 4, 8}) {
-        const PauliPropagator sharded(ansatz.compiled(),
-                                      exactShardConfig(shards));
-        const std::vector<double> out =
-            sharded.expectations(theta, fam, 0);
-        ASSERT_EQ(out.size(), ref.size());
-        for (std::size_t k = 0; k < ref.size(); ++k)
-            EXPECT_NEAR(out[k], ref[k], 1e-12)
-                << "shards " << shards << " observable " << k;
-    }
-}
-
-TEST(ShardedPropagation, FixedShardCountIsPoolSizeInvariant)
-{
-    const int n = 6;
-    const auto fam = tfimFamily(n, 0.7, 1.3, 3);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0);
-    Rng rng(29);
-    std::vector<double> theta(ansatz.numParams());
-    for (auto &t : theta)
-        t = rng.uniform(-1.5, 1.5);
-
-    const PauliPropagator prop(ansatz.compiled(), exactShardConfig(4));
-    std::vector<std::vector<double>> runs;
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        PoolSizeGuard guard(threads);
-        runs.push_back(prop.expectations(theta, fam, 0));
-    }
-    for (std::size_t r = 1; r < runs.size(); ++r)
-        EXPECT_EQ(runs[r], runs[0]);
-}
-
-TEST(ShardedPropagation, ShardedAgreesWithStatevector)
+TEST(PauliPropagation, AgreesWithStatevector)
 {
     const int n = 5;
     const auto fam = tfimFamily(n, 0.5, 1.5, 2);
@@ -467,8 +184,12 @@ TEST(ShardedPropagation, ShardedAgreesWithStatevector)
     for (auto &t : theta)
         t = rng.uniform(-1, 1);
 
+    // Without truncation propagation is exact on a small circuit.
+    PauliPropConfig exact;
+    exact.maxWeight = 64;
+    exact.coefThreshold = 0.0;
     const Statevector state = ansatz.prepare(theta);
-    const PauliPropagator prop(ansatz.compiled(), exactShardConfig(4));
+    const PauliPropagator prop(ansatz.compiled(), exact);
     const std::vector<double> out = prop.expectations(theta, fam, 0);
     for (std::size_t k = 0; k < fam.size(); ++k)
         EXPECT_NEAR(out[k], expectation(state, fam[k]), 1e-10)
@@ -519,7 +240,6 @@ TEST(SimBackend, EngineConfigJsonRoundTripIsLossless)
         config.propConfig.maxWeight = 5;
         config.propConfig.coefThreshold = 3.25e-9;
         config.propConfig.maxTerms = (1ull << 53) + 1; // > 2^53
-        config.propConfig.shards = 4;
 
         const JsonValue serialized = engineConfigToJson(config);
         const EngineConfig restored = engineConfigFromJson(serialized);
@@ -537,8 +257,6 @@ TEST(SimBackend, EngineConfigJsonRoundTripIsLossless)
                   config.propConfig.coefThreshold);
         EXPECT_EQ(restored.propConfig.maxTerms,
                   config.propConfig.maxTerms);
-        EXPECT_EQ(restored.propConfig.shards,
-                  config.propConfig.shards);
 
         // Round-trip fixed point: re-serializing the restored config
         // reproduces the document byte-for-byte.
@@ -574,6 +292,25 @@ TEST(SimBackend, EngineConfigJsonUnknownBackendFailsClearly)
     }
 }
 
+TEST(SimBackend, EngineConfigJsonAcceptsOnlyOneShard)
+{
+    // Propagation is serial: the canonical form keeps "shards": 1 (the
+    // scenario fingerprint hashes it), and any other count is refused.
+    JsonValue doc = engineConfigToJson(EngineConfig{});
+    ASSERT_EQ(doc.at("propConfig").at("shards").asInt(), 1);
+    EXPECT_EQ(engineConfigToJson(engineConfigFromJson(doc)).dump(),
+              doc.dump());
+
+    for (const char *bad : {"2", "0", "-1", "1.5", "\"1\"", "null"}) {
+        JsonValue prop = doc.at("propConfig");
+        prop.set("shards", JsonValue::parse(bad));
+        JsonValue mutated = doc;
+        mutated.set("propConfig", std::move(prop));
+        EXPECT_THROW(engineConfigFromJson(mutated), std::invalid_argument)
+            << "shards " << bad;
+    }
+}
+
 TEST(SimBackend, NamedBackendsAgreeOnExactEnergies)
 {
     const auto fam = tfimFamily(4, 0.5, 1.5, 3);
@@ -589,7 +326,6 @@ TEST(SimBackend, NamedBackendsAgreeOnExactEnergies)
     pp.backendName = "paulprop";
     pp.propConfig.maxWeight = 64;
     pp.propConfig.coefThreshold = 0.0;
-    pp.propConfig.shards = 2;
 
     const ClusterObjective a(fam, ansatz, sv);
     const ClusterObjective b(fam, ansatz, pp);
@@ -600,45 +336,6 @@ TEST(SimBackend, NamedBackendsAgreeOnExactEnergies)
         EXPECT_NEAR(ea[i], eb[i], 1e-8) << "task " << i;
     EXPECT_NEAR(a.exactMixedEnergy(theta), b.exactMixedEnergy(theta),
                 1e-8);
-}
-
-TEST(EvaluateBatchPlan, SharedPrefixBatchMatchesSerialBitwise)
-{
-    // evaluateBatch routes through EvalPlan; crafted batches with
-    // heavy prefix sharing (duplicates + single-coordinate probes)
-    // must still reproduce serial evaluate() bit-for-bit.
-    const auto fam = tfimFamily(5, 0.5, 1.5, 3);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(5, 2, 0b00110);
-    const ClusterObjective obj(fam, ansatz, EngineConfig{});
-
-    Rng theta_rng(41);
-    std::vector<double> base(ansatz.numParams());
-    for (auto &t : base)
-        t = theta_rng.uniform(-2, 2);
-    std::vector<std::vector<double>> probes;
-    probes.push_back(base);
-    probes.push_back(base); // exact duplicate
-    for (std::size_t i = 0; i < 4; ++i) {
-        probes.push_back(base);
-        probes.back()[i] += 0.3;
-    }
-
-    for (const std::size_t threads : {1u, 4u}) {
-        PoolSizeGuard guard(threads);
-        Rng rng(55);
-        const auto batch = obj.evaluateBatch(probes, rng);
-
-        Rng serial_rng(55);
-        const std::uint64_t stream = serial_rng.nextU64();
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            Rng probe = ClusterObjective::probeRng(stream, i);
-            const ClusterEvaluation ev = obj.evaluate(probes[i], probe);
-            EXPECT_EQ(batch[i].mixedEnergy, ev.mixedEnergy)
-                << "probe " << i << " threads " << threads;
-            EXPECT_EQ(batch[i].taskEnergies, ev.taskEnergies);
-            EXPECT_EQ(batch[i].shotsUsed, ev.shotsUsed);
-        }
-    }
 }
 
 } // namespace

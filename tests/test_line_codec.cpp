@@ -7,7 +7,10 @@
  * applies seeded byte flips, truncations and duplicated or deleted
  * spans; every mutant must either be rejected without an exception
  * escaping the decoder, or be a CRC-valid input that re-encodes to a
- * line the decoder accepts again.
+ * line the decoder accepts again. The sweep spec parser (sweep.json,
+ * through JsonValue::parse and expandScenarios) is fuzzed the same
+ * way: a mutant either expands to specs that round-trip, or is
+ * refused with std::invalid_argument or a JSON error.
  */
 
 #include <gtest/gtest.h>
@@ -15,15 +18,18 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/crc_line.h"
 #include "common/event_log.h"
 #include "common/file_util.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "svc/result_store.h"
 #include "svc/scenario_runner.h"
+#include "svc/scenario_spec.h"
 
 namespace treevqa {
 namespace {
@@ -273,6 +279,73 @@ TEST(LineCodecFuzz, CheckpointRestoreFailsClosed)
     // so some mutants land there and exercise the accepting path.
     EXPECT_GT(accepted, 0);
     EXPECT_LT(accepted, kMutantsPerParser / 4);
+    RecordProperty("accepted", accepted);
+}
+
+TEST(LineCodecFuzz, SpecRequestsFailClosed)
+{
+    // A sweep request as sweep.json holds it, touching every spec key,
+    // every nested block and a two-axis sweep. Expansion only parses:
+    // no Hamiltonian is built and no job runs.
+    const std::string valid = R"({
+  "name": "fuzz",
+  "problem": "tfim",
+  "size": 4,
+  "bond": 0.74,
+  "coupling": 1.0,
+  "ansatz": "hea",
+  "optimizer": {"name": "spsa", "a": 0.25, "c": 0.1, "maxStepNorm": 2.0},
+  "engine": {"backend": "paulprop", "shotsPerTerm": 1024,
+             "injectShotNoise": true,
+             "noise": {"gateFidelity": 0.995, "readoutFidelity": 0.98,
+                       "name": "dev"},
+             "propConfig": {"maxWeight": 6, "coefThreshold": 1e-9,
+                            "maxTerms": 4096, "shards": 1}},
+  "maxIterations": 12,
+  "shotBudget": 100000,
+  "seed": 99,
+  "checkpointInterval": 4,
+  "computeReference": false,
+  "sweep": {"field": [0.5, 0.75, 1.0], "layers": [1, 2]}
+}
+)";
+    ASSERT_EQ(expandScenarios(JsonValue::parse(valid)).size(), 6u);
+
+    Rng rng(0x5eed0004);
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerParser; ++i) {
+        const std::string mutant = mutate(valid, rng);
+        std::vector<ScenarioSpec> specs;
+        try {
+            specs = expandScenarios(JsonValue::parse(mutant));
+        } catch (const std::invalid_argument &) {
+            continue;
+        } catch (const std::runtime_error &e) {
+            // Malformed JSON or a mistyped value (JsonValue accessors).
+            EXPECT_EQ(std::string(e.what()).rfind("json: ", 0), 0u)
+                << "mutant " << i << ": " << e.what();
+            continue;
+        } catch (...) {
+            ADD_FAILURE() << "mutant " << i
+                          << " escaped with an unexpected exception";
+            continue;
+        }
+        ++accepted;
+        // An accepted spec is canonical: it round-trips to the same
+        // bytes and the same fingerprint.
+        for (const ScenarioSpec &spec : specs) {
+            const JsonValue json = scenarioToJson(spec);
+            ScenarioSpec again;
+            ASSERT_NO_THROW(again = scenarioFromJson(json))
+                << "mutant " << i << ": " << json.dump();
+            EXPECT_EQ(scenarioToJson(again).dump(), json.dump())
+                << "mutant " << i;
+        }
+    }
+    // Whitespace, names and numeric digits absorb some edits, so a
+    // share of the mutants stays valid and exercises the accept path.
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, kMutantsPerParser / 2);
     RecordProperty("accepted", accepted);
 }
 

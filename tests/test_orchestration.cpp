@@ -273,6 +273,34 @@ TEST(ScenarioSpec, JsonRoundTripIsAFixedPoint)
     }
 }
 
+TEST(ScenarioSpec, FingerprintFormatIsPinned)
+{
+    // Fingerprints key every checkpoint and store record, so a change
+    // to the canonical spec bytes orphans every existing sweep
+    // directory. The constants were taken from the canonical form that
+    // still carries "propConfig": {..., "shards": 1}.
+    const JsonValue drain = JsonValue::parse(
+        R"({"name": "drain", "problem": "tfim", "size": 2, "layers": 1,
+            "maxIterations": 3, "checkpointInterval": 1,
+            "seed": 10451216379200822465,
+            "sweep": {"field": [0.300519, 0.304519]}})");
+    const std::vector<ScenarioSpec> drain_specs = expandScenarios(drain);
+    ASSERT_EQ(drain_specs.size(), 2u);
+    EXPECT_EQ(scenarioFingerprint(drain_specs[0]), "c945e9623d0f9f45");
+    EXPECT_EQ(scenarioFingerprint(drain_specs[1]), "c53da4a4d0e32d6d");
+
+    const JsonValue paulprop = JsonValue::parse(
+        R"({"name": "ising-pp", "problem": "tfim", "size": 8,
+            "ansatz": "hea", "layers": 2, "maxIterations": 5, "seed": 7,
+            "engine": {"backend": "paulprop", "shotsPerTerm": 1024,
+                       "propConfig": {"maxWeight": 6,
+                                      "coefThreshold": 1e-9,
+                                      "maxTerms": 4096, "shards": 1}}})");
+    const std::vector<ScenarioSpec> pp_specs = expandScenarios(paulprop);
+    ASSERT_EQ(pp_specs.size(), 1u);
+    EXPECT_EQ(scenarioFingerprint(pp_specs[0]), "8e98b9d4420a9ee4");
+}
+
 TEST(ScenarioSpec, RejectsUnknownNamesAndKeys)
 {
     JsonValue doc = JsonValue::object();

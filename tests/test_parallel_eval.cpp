@@ -2,7 +2,7 @@
  * @file
  * Tests for the batched, thread-parallel evaluation engine: thread-pool
  * invariants, batched normal sampling, evaluateBatch bit-equivalence
- * across thread counts, threaded expectations vs the naive reference,
+ * across thread counts on every backend, threaded expectations vs the naive reference,
  * batch-vs-serial optimizer equivalence, pool-size invariance of a
  * full TreeVQA run, and of the parallel ground-state set-up.
  */
@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "circuit/hardware_efficient.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/objective.h"
+#include "core/sim_backend.h"
 #include "core/tree_controller.h"
 #include "ham/spin_chains.h"
 #include "opt/cobyla.h"
@@ -110,13 +112,36 @@ TEST(Rng, NormalVectorOddAndChunkBoundaryLengths)
     }
 }
 
-/** A noisy 6-qubit, 5-task TFIM cluster objective. */
+/** A noisy 6-qubit, 5-task TFIM cluster objective on `backend`. */
 ClusterObjective
-makeObjective()
+makeObjective(const std::string &backend = kStatevectorBackendName)
 {
+    EngineConfig config;
+    config.backendName = backend;
     return ClusterObjective(tfimFamily(6, 0.5, 1.5, 5),
                             makeHardwareEfficientAnsatz(6, 2, 0b010101),
-                            EngineConfig{});
+                            config);
+}
+
+/** Expect probe i of `batch` to equal serial evaluate() with the
+ * batch's per-probe stream, where `seed` seeded the batch's caller
+ * generator. */
+void
+expectBatchMatchesSerialStreams(
+    const ClusterObjective &obj,
+    const std::vector<std::vector<double>> &thetas,
+    const std::vector<ClusterEvaluation> &batch, std::uint64_t seed)
+{
+    Rng serial_rng(seed);
+    const std::uint64_t base = serial_rng.nextU64();
+    ASSERT_EQ(batch.size(), thetas.size());
+    for (std::size_t i = 0; i < thetas.size(); ++i) {
+        Rng probe = ClusterObjective::probeRng(base, i);
+        const ClusterEvaluation ev = obj.evaluate(thetas[i], probe);
+        EXPECT_EQ(batch[i].mixedEnergy, ev.mixedEnergy) << "probe " << i;
+        EXPECT_EQ(batch[i].taskEnergies, ev.taskEnergies);
+        EXPECT_EQ(batch[i].shotsUsed, ev.shotsUsed);
+    }
 }
 
 std::vector<std::vector<double>>
@@ -134,23 +159,27 @@ makeThetas(int num_params, std::size_t batch, std::uint64_t seed)
 
 TEST(EvaluateBatch, BitIdenticalAcrossThreadCounts)
 {
-    const ClusterObjective obj = makeObjective();
-    const auto thetas =
-        makeThetas(obj.ansatz().numParams(), 8, 17);
+    for (const std::string &backend : simBackendNames()) {
+        SCOPED_TRACE(backend);
+        const ClusterObjective obj = makeObjective(backend);
+        const auto thetas =
+            makeThetas(obj.ansatz().numParams(), 8, 17);
 
-    std::vector<std::vector<ClusterEvaluation>> runs;
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-        PoolSizeGuard guard(threads);
-        Rng rng(99);
-        runs.push_back(obj.evaluateBatch(thetas, rng));
-    }
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-        ASSERT_EQ(runs[r].size(), runs[0].size());
-        for (std::size_t p = 0; p < runs[0].size(); ++p) {
-            EXPECT_EQ(runs[r][p].mixedEnergy, runs[0][p].mixedEnergy)
-                << "probe " << p;
-            EXPECT_EQ(runs[r][p].taskEnergies, runs[0][p].taskEnergies);
-            EXPECT_EQ(runs[r][p].shotsUsed, runs[0][p].shotsUsed);
+        std::vector<std::vector<ClusterEvaluation>> runs;
+        for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+            PoolSizeGuard guard(threads);
+            Rng rng(99);
+            runs.push_back(obj.evaluateBatch(thetas, rng));
+        }
+        for (std::size_t r = 1; r < runs.size(); ++r) {
+            ASSERT_EQ(runs[r].size(), runs[0].size());
+            for (std::size_t p = 0; p < runs[0].size(); ++p) {
+                EXPECT_EQ(runs[r][p].mixedEnergy, runs[0][p].mixedEnergy)
+                    << "probe " << p;
+                EXPECT_EQ(runs[r][p].taskEnergies,
+                          runs[0][p].taskEnergies);
+                EXPECT_EQ(runs[r][p].shotsUsed, runs[0][p].shotsUsed);
+            }
         }
     }
 }
@@ -159,25 +188,49 @@ TEST(EvaluateBatch, ReproducesSerialEvaluateWithProbeStreams)
 {
     // The documented serial reference: probe i of a batch with stream
     // base `b` evaluates exactly like evaluate(thetas[i], probeRng(b, i)).
-    const ClusterObjective obj = makeObjective();
-    const auto thetas =
-        makeThetas(obj.ansatz().numParams(), 6, 31);
+    for (const std::string &backend : simBackendNames()) {
+        SCOPED_TRACE(backend);
+        const ClusterObjective obj = makeObjective(backend);
+        const auto thetas =
+            makeThetas(obj.ansatz().numParams(), 6, 31);
 
-    PoolSizeGuard guard(4);
-    Rng rng(7);
-    const auto batch = obj.evaluateBatch(thetas, rng);
+        PoolSizeGuard guard(4);
+        Rng rng(7);
+        const auto batch = obj.evaluateBatch(thetas, rng);
+        expectBatchMatchesSerialStreams(obj, thetas, batch, 7);
 
-    Rng serial_rng(7);
-    const std::uint64_t base = serial_rng.nextU64();
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-        Rng probe = ClusterObjective::probeRng(base, i);
-        const ClusterEvaluation ev = obj.evaluate(thetas[i], probe);
-        EXPECT_EQ(batch[i].mixedEnergy, ev.mixedEnergy) << "probe " << i;
-        EXPECT_EQ(batch[i].taskEnergies, ev.taskEnergies);
-        EXPECT_EQ(batch[i].shotsUsed, ev.shotsUsed);
+        // Both paths consumed the caller stream identically.
+        Rng serial_rng(7);
+        serial_rng.nextU64();
+        EXPECT_EQ(rng.nextU64(), serial_rng.nextU64());
     }
-    // Both paths consumed the caller stream identically.
-    EXPECT_EQ(rng.nextU64(), serial_rng.nextU64());
+}
+
+TEST(EvaluateBatch, DuplicateAndOneCoordinateProbesMatchSerialBitwise)
+{
+    // A simplex-build-shaped batch: an exact duplicate of the base
+    // point plus probes that each move one coordinate.
+    for (const std::string &backend : simBackendNames()) {
+        SCOPED_TRACE(backend);
+        const ClusterObjective obj = makeObjective(backend);
+        const std::vector<double> base =
+            makeThetas(obj.ansatz().numParams(), 1, 41).front();
+        std::vector<std::vector<double>> probes{base, base};
+        for (std::size_t i = 0; i < 4; ++i) {
+            probes.push_back(base);
+            probes.back()[i] += 0.3;
+        }
+
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(threads);
+            PoolSizeGuard guard(threads);
+            Rng rng(55);
+            const auto batch = obj.evaluateBatch(probes, rng);
+            expectBatchMatchesSerialStreams(obj, probes, batch, 55);
+            // The duplicates saw the same state, with their own noise.
+            EXPECT_NE(batch[0].mixedEnergy, batch[1].mixedEnergy);
+        }
+    }
 }
 
 TEST(EvaluateBatch, CallerStreamAdvanceIndependentOfBatchSize)

@@ -65,6 +65,7 @@
 #include "common/crc_line.h"
 #include "common/file_util.h"
 #include "common/json.h"
+#include "common/metrics.h"
 #include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/supervisor.h"
@@ -119,6 +120,11 @@ struct Drill
 {
     std::string name;
     std::string faults; // the "faults" array, as JSON text
+    /** The fault must fail a job attempt: the faulted child's
+     * telemetry must read worker.failed_attempts >= 1. Without it a
+     * fault that lands on a write which swallows failures (the
+     * start-up telemetry write) would pass unnoticed. */
+    bool expectFailedAttempt = false;
 };
 
 /**
@@ -129,19 +135,30 @@ struct Drill
  * latency, a probabilistic acquire-failure schedule, and mid-job
  * SIGKILL before the 1st/2nd/3rd/5th checkpoint write of the sweep
  * (crash at every checkpoint index a job has).
+ *
+ * The atomic-write drills arm at hit 2: hit 1 of every
+ * file.write_atomic.* site is the worker's start-up telemetry write,
+ * which tolerates failure by design, and hit 2 is the first job's
+ * first checkpoint. A torn stage lands a renamed-whole but corrupt
+ * checkpoint, which fails nothing by itself; the drill then fails the
+ * next checkpoint write, so the retry must read (and reject) the torn
+ * generation.
  */
 std::vector<Drill>
 drillMatrix()
 {
     return {
         {"rename-fails-once",
-         R"([{"site": "file.write_atomic.rename", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
+         R"([{"site": "file.write_atomic.rename", "action": "fail-errno", "errno": "EIO", "hit": 2}])",
+         true},
         {"fsync-fails-once",
-         R"([{"site": "file.write_atomic.fsync", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
+         R"([{"site": "file.write_atomic.fsync", "action": "fail-errno", "errno": "EIO", "hit": 2}])",
+         true},
         {"read-fails-once",
          R"([{"site": "file.read", "action": "fail-errno", "errno": "EIO", "hit": 2}])"},
         {"stage-write-torn",
-         R"([{"site": "file.write_atomic.stage", "action": "torn-write", "keepFraction": 0.5, "hit": 1}])"},
+         R"([{"site": "file.write_atomic.stage", "action": "torn-write", "keepFraction": 0.5, "hit": 2}, {"site": "checkpoint.write", "action": "fail-errno", "errno": "EIO", "hit": 2}])",
+         true},
         {"claim-acquire-fails",
          R"([{"site": "claim.acquire", "action": "fail-errno", "errno": "EAGAIN", "hit": 1, "times": 3}])"},
         {"claim-acquire-flaky",
@@ -429,6 +446,17 @@ auditObservabilityDumps(const std::string &dir)
     return problems;
 }
 
+/** worker.failed_attempts summed over the telemetry files in `dir`
+ * (read before the disarmed recovery pass adds its own). */
+std::uint64_t
+faultedChildFailedAttempts(const std::string &dir)
+{
+    const JsonValue agg = aggregateMetricsJson(readMetricsDumps(dir));
+    const JsonValue *v =
+        agg.at("counters").find("worker.failed_attempts");
+    return v ? v->asUint() : 0;
+}
+
 int
 runDrillChild(const std::string &sweepDir, int jobs)
 {
@@ -565,6 +593,8 @@ main(int argc, char **argv)
 
             const int faulted_status = runWorkerChild(
                 self, dir, static_cast<int>(jobs), plan_path, log);
+            const std::uint64_t failed_attempts =
+                faultedChildFailedAttempts(dir);
             // Always run a disarmed recovery pass: it drains whatever
             // the faulted child left (stale claims, torn records,
             // corrupt checkpoints) and is a no-op when the faulted
@@ -577,18 +607,23 @@ main(int argc, char **argv)
                 readTextFile(sweepSummaryPath(dir), summary);
             const std::string obs_problems =
                 auditObservabilityDumps(dir);
+            const bool hit_target =
+                !drill.expectFailedAttempt || failed_attempts >= 1;
             const bool converged = recovery_status == 0 && summary_read
-                && summary == reference && obs_problems.empty();
+                && summary == reference && obs_problems.empty()
+                && hit_target;
             if (!converged)
                 ++failures;
             std::printf("drill %-28s fault-child=%-3d recovery=%-3d "
-                        "summary=%s%s%s\n",
+                        "failed=%llu summary=%s%s%s%s\n",
                         drill.name.c_str(), faulted_status,
                         recovery_status,
+                        static_cast<unsigned long long>(failed_attempts),
                         summary_read && summary == reference
                             ? "identical"
                             : summary_read ? "DIFFERENT"
                                            : "MISSING",
+                        hit_target ? "" : " NO-FAILED-ATTEMPT",
                         obs_problems.empty() ? "" : " DUMPS: ",
                         obs_problems.c_str());
 
@@ -598,6 +633,7 @@ main(int argc, char **argv)
                                   drillPlanJson(drill.faults, seed, i)));
             entry.set("faultedChildStatus", JsonValue(faulted_status));
             entry.set("recoveryStatus", JsonValue(recovery_status));
+            entry.set("failedAttempts", JsonValue(failed_attempts));
             entry.set("summaryIdentical",
                       JsonValue(summary_read && summary == reference));
             entry.set("observabilityProblems",
